@@ -18,9 +18,6 @@
 //! count so 16, 64, and 256 connections all offer the same load, and the
 //! only variable is how many concurrent sockets the front end multiplexes.
 //! A flat p99 across that sweep is the event-loop design doing its job.
-//! The same 256-client arm then runs against the threaded front end at its
-//! default connection cap — the pre-event-loop architecture — which must
-//! either refuse the surplus connections or show materially worse tails.
 //!
 //! Three observability phases follow:
 //!
@@ -61,7 +58,7 @@ use qsnc_quant::{
     WeightQuantMethod,
 };
 use qsnc_serve::protocol::{self, Status};
-use qsnc_serve::{FrontEnd, ServeConfig, Server};
+use qsnc_serve::{ServeConfig, Server};
 use qsnc_tensor::{init, TensorRng};
 
 /// Client counts for the classic saturating (no think time) sweep.
@@ -84,9 +81,8 @@ struct Sweep {
     clients: usize,
     ok: usize,
     busy: usize,
-    /// Clients the server turned away (refused at accept, or a dead
-    /// socket before the first reply). Zero everywhere except the
-    /// over-cap threaded-baseline arm.
+    /// Clients the server turned away at accept (an untagged Busy reply
+    /// to a tagged request). Must be zero on every arm.
     refused: usize,
     throughput_rps: f64,
     p50_us: f64,
@@ -118,10 +114,7 @@ struct ClientRun {
 /// One closed-loop client: `shots` request/reply round trips. With
 /// `think` set the shots follow an absolute per-client send schedule (one
 /// think period apart, phase-offset by client index) so paced arms offer a
-/// smooth aggregate rate. `tagged` selects protocol v2 frames. `tolerate_refusal` makes an at-accept [`Status::Busy`] (or a
-/// connection the server hung up on) a counted outcome instead of a panic
-/// — the over-cap baseline arm *wants* refusals.
-#[allow(clippy::too_many_arguments)]
+/// smooth aggregate rate. `tagged` selects protocol v2 frames.
 fn run_client(
     addr: std::net::SocketAddr,
     client: usize,
@@ -129,7 +122,6 @@ fn run_client(
     shots: usize,
     think: Option<Duration>,
     tagged: bool,
-    tolerate_refusal: bool,
     barrier: &Barrier,
 ) -> ClientRun {
     let mut rng = TensorRng::seed(0xC11E17 + client as u64);
@@ -137,16 +129,7 @@ fn run_client(
         .as_slice()
         .to_vec();
     let mut run = ClientRun { window: None, latencies: Vec::new(), ok: 0, busy: 0, refused: false };
-    let stream = match TcpStream::connect(addr) {
-        Ok(s) => s,
-        Err(_) if tolerate_refusal => {
-            barrier.wait();
-            run.refused = true;
-            return run;
-        }
-        Err(e) => panic!("connect: {e}"),
-    };
-    let mut stream = stream;
+    let mut stream = TcpStream::connect(addr).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(60)))
         .expect("read timeout");
@@ -172,34 +155,23 @@ fn run_client(
         }
         let t0 = Instant::now();
         first_request.get_or_insert(t0);
-        let wrote = if tagged {
+        if tagged {
             protocol::write_request_tagged(&mut stream, shot as u32, &input)
         } else {
             protocol::write_request(&mut stream, &input)
-        };
-        if wrote.is_err() && tolerate_refusal {
-            run.refused = run.ok == 0;
-            break;
         }
-        wrote.expect("write");
-        let reply = match protocol::read_reply(&mut stream) {
-            Ok(r) => r,
-            Err(_) if tolerate_refusal => {
-                run.refused = run.ok == 0;
-                break;
-            }
-            Err(e) => panic!("reply: {e}"),
-        };
+        .expect("write");
+        let reply = protocol::read_reply(&mut stream).expect("reply");
         last_reply = Some(Instant::now());
         match reply.status {
             Status::Ok => {
                 run.ok += 1;
                 run.latencies.push(t0.elapsed().as_micros() as u64);
             }
-            // An untagged Busy before any success is the at-accept
+            // An untagged Busy to a tagged request is the at-accept
             // refusal (the reply was written before our request was
             // read); a tagged one is per-request load shedding.
-            Status::Busy if tolerate_refusal && run.ok == 0 && reply.tag.is_none() => {
+            Status::Busy if tagged && reply.tag.is_none() => {
                 run.refused = true;
                 break;
             }
@@ -220,14 +192,13 @@ fn run_arm(
     shots: usize,
     think: Option<Duration>,
     tagged: bool,
-    tolerate_refusal: bool,
 ) -> Sweep {
     let barrier = Arc::new(Barrier::new(clients));
     let mut handles = Vec::new();
     for client in 0..clients {
         let barrier = Arc::clone(&barrier);
         handles.push(std::thread::spawn(move || {
-            run_client(addr, client, clients, shots, think, tagged, tolerate_refusal, &barrier)
+            run_client(addr, client, clients, shots, think, tagged, &barrier)
         }));
     }
     let mut latencies = Vec::new();
@@ -265,7 +236,7 @@ fn run_arm(
 
 /// The classic saturating closed-loop arm (v1 frames, no think time).
 fn run_sweep(addr: std::net::SocketAddr, clients: usize, shots: usize) -> Sweep {
-    run_arm(addr, clients, shots, None, false, false)
+    run_arm(addr, clients, shots, None, false)
 }
 
 /// One paced scale arm: think time scales with the client count so every
@@ -274,11 +245,11 @@ fn run_sweep(addr: std::net::SocketAddr, clients: usize, shots: usize) -> Sweep 
 /// the best (lowest-p99) of three repetitions — the same one-sided-noise
 /// argument as [`measured_rps`]: a shared host only ever adds latency, so
 /// the cleanest repetition is the closest estimate of the server itself.
-fn run_scale_arm(addr: std::net::SocketAddr, clients: usize, tolerate_refusal: bool) -> Sweep {
+fn run_scale_arm(addr: std::net::SocketAddr, clients: usize) -> Sweep {
     let think = Duration::from_secs_f64(clients as f64 / SCALE_OFFERED_RPS);
     let shots = (SCALE_TOTAL_SAMPLES / clients).max(8);
     (0..3)
-        .map(|_| run_arm(addr, clients, shots, Some(think), true, tolerate_refusal))
+        .map(|_| run_arm(addr, clients, shots, Some(think), true))
         .min_by(|a, b| a.p99_us.total_cmp(&b.p99_us))
         .expect("three repetitions")
 }
@@ -411,29 +382,23 @@ fn main() {
     server.shutdown();
 
     // Phase 0b: the scale sweep. Fixed total offered load over tagged v2
-    // frames; the client count is the only variable. The event loop must
-    // hold p99 flat; the threaded baseline at its default cap must refuse
-    // the surplus or pay in tail latency.
+    // frames; the client count is the only variable, and p99 must hold
+    // flat.
     let mut scale_table = Table::new(
         "scale sweep — fixed 640 req/s offered, protocol v2, paced closed-loop clients",
-        &["Front end", "Clients", "Ok", "Busy", "Refused", "Throughput (req/s)", "p50 (µs)", "p99 (µs)"],
+        &["Clients", "Ok", "Busy", "Refused", "Throughput (req/s)", "p50 (µs)", "p99 (µs)"],
     );
-    let scale_server = Server::spawn(
-        Arc::clone(&snn),
-        &[1, 28, 28],
-        "127.0.0.1:0",
-        ServeConfig { front_end: FrontEnd::EventLoop, ..config.clone() },
-    )
-    .expect("spawn scale server");
+    let scale_server =
+        Server::spawn(Arc::clone(&snn), &[1, 28, 28], "127.0.0.1:0", config.clone())
+            .expect("spawn scale server");
     let mut scale_sweeps = Vec::new();
     // Untimed warm-up so arenas and per-batch tensors are sized before
     // the first measured arm.
-    run_arm(scale_server.local_addr(), 16, 10, None, true, false);
+    run_arm(scale_server.local_addr(), 16, 10, None, true);
     for &clients in &SCALE_CLIENT_COUNTS {
-        let sweep = run_scale_arm(scale_server.local_addr(), clients, false);
+        let sweep = run_scale_arm(scale_server.local_addr(), clients);
         assert_eq!(sweep.refused, 0, "event loop refused paced clients");
         scale_table.row(&[
-            "event-loop".to_string(),
             format!("{}", sweep.clients),
             format!("{}", sweep.ok),
             format!("{}", sweep.busy),
@@ -446,28 +411,6 @@ fn main() {
     }
     scale_server.shutdown();
 
-    // The pre-event-loop architecture at the same top client count, with
-    // its honest default connection cap (every connection costs a thread).
-    let baseline_server = Server::spawn(
-        Arc::clone(&snn),
-        &[1, 28, 28],
-        "127.0.0.1:0",
-        ServeConfig { front_end: FrontEnd::Threaded, ..config.clone() },
-    )
-    .expect("spawn baseline server");
-    let max_clients = *SCALE_CLIENT_COUNTS.last().expect("non-empty");
-    let baseline = run_scale_arm(baseline_server.local_addr(), max_clients, true);
-    baseline_server.shutdown();
-    scale_table.row(&[
-        "threaded".to_string(),
-        format!("{}", baseline.clients),
-        format!("{}", baseline.ok),
-        format!("{}", baseline.busy),
-        format!("{}", baseline.refused),
-        format!("{:.1}", baseline.throughput_rps),
-        format!("{:.0}", baseline.p50_us),
-        format!("{:.0}", baseline.p99_us),
-    ]);
     let scale_p99_16 = scale_sweeps.first().map_or(0.0, |s| s.p99_us);
     let scale_p99_max = scale_sweeps.last().map_or(0.0, |s| s.p99_us);
 
@@ -565,14 +508,10 @@ fn main() {
         ))
         .note(format!(
             "scale sweep: p99 {scale_p99_16:.0}µs at {} clients vs {scale_p99_max:.0}µs at {} \
-             clients ({:.2}x) at a fixed 640 req/s offered; threaded baseline at {} clients: \
-             {} refused, p99 {:.0}µs",
+             clients ({:.2}x) at a fixed 640 req/s offered",
             SCALE_CLIENT_COUNTS[0],
-            max_clients,
+            SCALE_CLIENT_COUNTS[SCALE_CLIENT_COUNTS.len() - 1],
             if scale_p99_16 > 0.0 { scale_p99_max / scale_p99_16 } else { 0.0 },
-            max_clients,
-            baseline.refused,
-            baseline.p99_us,
         ))
         .note(format!(
             "telemetry overhead ({OVERHEAD_CLIENTS} clients): off {off_rps:.1} req/s vs \
@@ -604,24 +543,14 @@ fn main() {
                 let _ = writeln!(
                     f,
                     "{{\"name\": \"serve_scale_paced/clients_{}\", \"clients\": {}, \
-                     \"cores\": {cores}, \"front_end\": \"event-loop\", \
-                     \"offered_rps\": {SCALE_OFFERED_RPS:.0}, \"ok\": {}, \"busy\": {}, \
+                     \"cores\": {cores}, \"offered_rps\": {SCALE_OFFERED_RPS:.0}, \
+                     \"ok\": {}, \"busy\": {}, \
                      \"refused\": {}, \"throughput_rps\": {:.1}, \"p50_us\": {:.0}, \
                      \"p99_us\": {:.0}}}",
                     s.clients, s.clients, s.ok, s.busy, s.refused, s.throughput_rps, s.p50_us,
                     s.p99_us
                 );
             }
-            let _ = writeln!(
-                f,
-                "{{\"name\": \"serve_threaded_baseline/clients_{}\", \"clients\": {}, \
-                 \"cores\": {cores}, \"front_end\": \"threaded\", \
-                 \"offered_rps\": {SCALE_OFFERED_RPS:.0}, \"ok\": {}, \"busy\": {}, \
-                 \"refused\": {}, \"throughput_rps\": {:.1}, \"p50_us\": {:.0}, \
-                 \"p99_us\": {:.0}}}",
-                baseline.clients, baseline.clients, baseline.ok, baseline.busy, baseline.refused,
-                baseline.throughput_rps, baseline.p50_us, baseline.p99_us
-            );
             let _ = writeln!(
                 f,
                 "{{\"name\": \"serve_telemetry_overhead\", \"cores\": {cores}, \

@@ -1,13 +1,15 @@
-//! The epoll readiness front end: a small number of event-loop threads own
-//! every client socket, replacing thread-per-connection blocking I/O.
+//! The server's front end: a small number of epoll event-loop threads own
+//! every client socket non-blocking.
 //!
 //! ## Shape
 //!
-//! Loop 0 owns the (non-blocking) listener and distributes accepted
-//! connections round-robin across all loops (`QSNC_SERVE_LOOPS`); a
-//! connection lives on exactly one loop for its whole life, so no
-//! per-connection state is ever shared between loop threads. Each loop
-//! drives a level-triggered epoll instance ([`crate::sys`]) over:
+//! Loop 0 owns the (non-blocking) listener and is the only acceptor: it
+//! counts each accepted connection against the process-wide
+//! [`LoopConfig::max_conns`] cap, then distributes it round-robin across
+//! all loops (`QSNC_SERVE_LOOPS`). A connection lives on exactly one loop
+//! for its whole life, so no per-connection state is ever shared between
+//! loop threads. Each loop drives a level-triggered epoll instance
+//! ([`crate::sys`]) over:
 //!
 //! - its **connections** — each a read/write state machine: bytes
 //!   accumulate in a per-connection buffer, [`protocol::parse_frame`]
@@ -26,13 +28,12 @@
 //! and replies return tagged in completion order — out of order is
 //! expected and correct. The per-connection budget answers
 //! [`Status::Busy`] (tagged) when exhausted; the bounded admission queue
-//! answers `Busy` exactly as the threaded front end does; and a
-//! connection whose output buffer passes the high-water mark stops being
-//! *read* (its `EPOLLIN` interest drops) until the client drains replies,
-//! so a slow reader throttles itself through TCP instead of growing
-//! server memory. A v1 (untagged) frame gates parsing until its reply is
-//! written — the reply is only identifiable by arrival order — which
-//! preserves exact PR 4 lockstep semantics on the same port.
+//! answers `Busy` when full; and a connection whose output buffer passes
+//! the high-water mark stops being *read* (its `EPOLLIN` interest drops)
+//! until the client drains replies, so a slow reader throttles itself
+//! through TCP instead of growing server memory. A v1 (untagged) frame gates parsing until its reply is
+//! written — the reply is only identifiable by arrival order — so v1
+//! clients keep strict request/reply lockstep on the same port.
 //!
 //! ## Drain
 //!
@@ -48,7 +49,7 @@
 //! counters) and `serve.loop.*` (loop-scoped counters and the dispatch
 //! sketch); see docs/telemetry.md.
 
-use crate::batcher::{Request, ReplyRoute, WorkerReply, QUEUE_DEPTH_EDGES};
+use crate::batcher::{Request, WorkerReply, QUEUE_DEPTH_EDGES};
 use crate::protocol::{self, FrameError, Status};
 use crate::registry::{Lease, ModelEntry, ModelRegistry, ModelVersion};
 use crate::sys::{
@@ -105,8 +106,8 @@ pub(crate) struct LoopConfig {
     pub(crate) registry: Arc<ModelRegistry>,
     /// In-flight request budget per connection (tagged + untagged).
     pub(crate) max_inflight: usize,
-    /// Connection-slot capacity per loop; accepts beyond it are refused
-    /// with [`Status::Busy`].
+    /// Process-wide connection cap across all loops; an accept while this
+    /// many connections are open is refused with [`Status::Busy`].
     pub(crate) max_conns: usize,
     /// Slow-trace threshold in microseconds (`None` disables capture).
     pub(crate) slow_us: Option<u64>,
@@ -136,6 +137,18 @@ impl LoopShared {
         self.wake();
     }
 
+    /// A shared half with no loop behind it, for unit tests that build
+    /// [`Request`]s without running a server.
+    #[cfg(test)]
+    pub(crate) fn detached() -> Arc<LoopShared> {
+        let (_, wake_tx) = UnixStream::pair().expect("socket pair");
+        Arc::new(LoopShared {
+            completions: Mutex::new(Vec::new()),
+            inbound: Mutex::new(Vec::new()),
+            wake_tx,
+        })
+    }
+
     fn push_inbound(&self, stream: TcpStream) {
         if let Ok(mut q) = self.inbound.lock() {
             q.push(stream);
@@ -162,6 +175,20 @@ pub(crate) struct Completion {
     pub(crate) decode_us: u64,
     /// Process-wide request id for the slow trace.
     pub(crate) id: u64,
+}
+
+/// Turns a connection away with an untagged [`Status::Busy`] reply (a
+/// short blocking write; the socket closes on drop).
+fn refuse(mut stream: TcpStream) {
+    qsnc_telemetry::counter_add("serve.conn.refused", 1);
+    let _ = stream.set_nonblocking(false);
+    let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
+    let _ = protocol::write_error_reply(
+        &mut stream,
+        None,
+        Status::Busy,
+        "connection limit reached: retry elsewhere",
+    );
 }
 
 /// One connection's state machine.
@@ -221,7 +248,9 @@ struct EventLoop {
     running: Arc<AtomicBool>,
     req_tx: SyncSender<Request>,
     depth: Arc<AtomicUsize>,
-    /// Process-wide active-connection gauge (shared across loops).
+    /// Process-wide open-connection count (shared across loops): raised
+    /// by loop 0 at accept, lowered when a connection is dropped or fails
+    /// to register.
     active: Arc<AtomicUsize>,
     draining: Option<Instant>,
 }
@@ -238,9 +267,9 @@ pub(crate) fn spawn(
     running: Arc<AtomicBool>,
     req_tx: SyncSender<Request>,
     depth: Arc<AtomicUsize>,
-    active: Arc<AtomicUsize>,
 ) -> io::Result<SpawnedLoops> {
     listener.set_nonblocking(true)?;
+    let active = Arc::new(AtomicUsize::new(0));
     let mut shareds = Vec::with_capacity(loops);
     let mut wake_rxs = Vec::with_capacity(loops);
     for _ in 0..loops {
@@ -360,6 +389,13 @@ impl EventLoop {
                         continue;
                     }
                     qsnc_telemetry::counter_add("serve.connections", 1);
+                    // Loop 0 is the only acceptor, so this check-then-add
+                    // holds the cap exactly across every loop.
+                    if self.active.load(Ordering::Relaxed) >= self.cfg.max_conns {
+                        refuse(stream);
+                        continue;
+                    }
+                    self.active.fetch_add(1, Ordering::Relaxed);
                     let target = self.next_rr % self.peers.len();
                     self.next_rr = self.next_rr.wrapping_add(1);
                     if target == self.index {
@@ -385,22 +421,16 @@ impl EventLoop {
         }
     }
 
+    /// Adopts a connection already counted in `active`; every path that
+    /// does not keep it releases the count.
     fn register_conn(&mut self, stream: TcpStream) {
-        let live = self.conns.len() - self.free.len();
-        if live >= self.cfg.max_conns || self.draining.is_some() {
-            qsnc_telemetry::counter_add("serve.conn.refused", 1);
-            let mut stream = stream;
-            let _ = stream.set_nonblocking(false);
-            let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-            let _ = protocol::write_error_reply(
-                &mut stream,
-                None,
-                Status::Busy,
-                "connection limit reached: retry elsewhere",
-            );
+        if self.draining.is_some() {
+            self.active.fetch_sub(1, Ordering::Relaxed);
+            refuse(stream);
             return;
         }
         if stream.set_nonblocking(true).is_err() {
+            self.active.fetch_sub(1, Ordering::Relaxed);
             return;
         }
         let _ = stream.set_nodelay(true);
@@ -435,11 +465,12 @@ impl EventLoop {
         .is_err()
         {
             self.free.push(idx as u32);
+            self.active.fetch_sub(1, Ordering::Relaxed);
             return;
         }
-        let now_active = self.active.fetch_add(1, Ordering::Relaxed) + 1;
         if qsnc_telemetry::enabled() {
-            qsnc_telemetry::observe("serve.conn.active", now_active as f64, CONN_ACTIVE_EDGES);
+            let active = self.active.load(Ordering::Relaxed);
+            qsnc_telemetry::observe("serve.conn.active", active as f64, CONN_ACTIVE_EDGES);
         }
         self.conns[idx] = Some(conn);
     }
@@ -748,12 +779,10 @@ impl EventLoop {
         let req = Request {
             input,
             lease: Some(lease),
-            route: ReplyRoute::Loop {
-                shared: Arc::clone(&self.shared),
-                conn: idx as u32,
-                generation: conn.generation,
-                tag,
-            },
+            shared: Arc::clone(&self.shared),
+            conn: idx as u32,
+            generation: conn.generation,
+            tag,
             enqueued,
             decode_us,
             id,

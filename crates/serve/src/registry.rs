@@ -10,13 +10,13 @@
 //! route to — and never change for the life of the server; a swap replaces
 //! an entry's *engine*, not its id. Each entry holds the current
 //! engine version (`ModelVersion`) behind an `RwLock<Arc<…>>`: readers
-//! (front ends resolving a frame) clone the `Arc` out; a swap write-locks
+//! (event loops resolving a frame) clone the `Arc` out; a swap write-locks
 //! just long enough to replace the pointer.
 //!
 //! ## Admission and the quota tier
 //!
 //! A request is bound to an engine **at admission**, by acquiring a
-//! `Lease` on the entry + the version snapshot the front end resolved.
+//! `Lease` on the entry + the version snapshot the event loop resolved.
 //! The lease travels inside the queued request and drops after the worker
 //! has run inference and routed the reply, decrementing two counters:
 //!
@@ -470,8 +470,8 @@ impl ModelRegistry {
         qsnc_telemetry::counter_add(&entry.tele_swaps, 1);
         // Drain: new admissions can no longer reach `old` (the registry
         // hands out `next` now), but requests admitted before the pointer
-        // swap still hold leases, and a front end may hold a
-        // resolved-but-unadmitted snapshot for a frame it is mid-read on.
+        // swap still hold leases, and an event loop may hold a
+        // resolved-but-unadmitted snapshot for a frame it is mid-parse on.
         // Leases keep `inflight` non-zero; bare snapshots keep the Arc's
         // strong count above ours. Wait for both to clear.
         let t0 = Instant::now();

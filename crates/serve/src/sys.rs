@@ -1,5 +1,5 @@
 //! Raw `epoll` syscalls — the only kernel interface `std::net` does not
-//! expose that the event-loop front end needs.
+//! expose that the event loops need.
 //!
 //! The crate is zero-dependency by design, so instead of pulling in `libc`
 //! or `mio` these three syscalls (`epoll_create1`, `epoll_ctl`,
@@ -8,11 +8,9 @@
 //! `TcpStream`/`TcpListener`/`UnixStream` values put into non-blocking
 //! mode, reads and writes go through `std::io`, and the epoll instance
 //! itself is wrapped in an [`OwnedFd`] so the close-on-drop path is std's,
-//! not ours.
-//!
-//! On any other platform the module compiles to nothing and
-//! [`crate::FrontEnd::EventLoop`] falls back to the threaded front end
-//! (see `FrontEnd::resolve`).
+//! not ours. These two architectures are the only targets the crate
+//! builds for; any other stops the build with a `compile_error!` at the
+//! crate root.
 
 #![allow(clippy::upper_case_acronyms)]
 

@@ -16,7 +16,7 @@ use qsnc_quant::{
     WeightQuantMethod,
 };
 use qsnc_serve::protocol::{self, Status, MAGIC, OP_INFER, VERSION, VERSION_V2};
-use qsnc_serve::{FrontEnd, ServeConfig, Server};
+use qsnc_serve::{ServeConfig, Server};
 use qsnc_tensor::{Tensor, TensorRng};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -56,19 +56,26 @@ fn reference_logits(snn: &SpikingNetwork, input: &[f32]) -> Vec<f32> {
     snn.infer_reference(&x).as_slice().to_vec()
 }
 
-/// Production defaults, except the front end follows `QSNC_SERVE_FRONT_END`
-/// so CI can run this whole v1 suite against both the event-loop and the
-/// threaded architectures.
-fn base() -> ServeConfig {
-    ServeConfig { front_end: ServeConfig::from_env().front_end, ..ServeConfig::default() }
-}
-
 fn connect(server: &Server) -> TcpStream {
     let stream = TcpStream::connect(server.local_addr()).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
         .expect("read timeout");
     stream
+}
+
+/// Asserts the server closed `stream`: the next read must see EOF within
+/// two seconds. A read timeout or a reset fails, so a connection the server
+/// left open cannot pass.
+fn assert_closed(stream: &mut TcpStream, what: &str) {
+    stream
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .expect("probe timeout");
+    let mut probe = [0u8; 1];
+    match stream.read(&mut probe) {
+        Ok(0) => {}
+        other => panic!("{what}: connection must close after the reply, got {other:?}"),
+    }
 }
 
 fn roundtrip(stream: &mut TcpStream, input: &[f32]) -> protocol::Reply {
@@ -83,7 +90,7 @@ fn replies_bit_identical_to_reference_under_concurrency() {
         Arc::clone(&snn),
         &INPUT_DIMS,
         "127.0.0.1:0",
-        ServeConfig { max_batch: 4, max_delay_us: 500, ..base() },
+        ServeConfig { max_batch: 4, max_delay_us: 500, ..ServeConfig::default() },
     )
     .expect("spawn");
 
@@ -140,7 +147,7 @@ fn sequential_singles_are_bit_identical_too() {
         Arc::clone(&snn),
         &INPUT_DIMS,
         "127.0.0.1:0",
-        ServeConfig { max_batch: 8, max_delay_us: 100, ..base() },
+        ServeConfig { max_batch: 8, max_delay_us: 100, ..ServeConfig::default() },
     )
     .expect("spawn");
     let mut stream = connect(&server);
@@ -164,7 +171,7 @@ fn malformed_frames_get_error_replies_not_panics() {
         Arc::clone(&snn),
         &INPUT_DIMS,
         "127.0.0.1:0",
-        base(),
+        ServeConfig::default(),
     )
     .expect("spawn");
 
@@ -199,8 +206,7 @@ fn malformed_frames_get_error_replies_not_panics() {
     let reply = protocol::read_reply(&mut stream).expect("reply before close");
     assert_eq!(reply.status, Status::BadRequest);
     assert!(reply.message.contains("magic"), "got {:?}", reply.message);
-    let mut probe = [0u8; 1];
-    assert_eq!(stream.read(&mut probe).unwrap_or(0), 0, "connection must close");
+    assert_closed(&mut stream, "garbage magic");
     drop(stream);
 
     // Oversized declared payload: rejected without reading it.
@@ -235,7 +241,7 @@ fn mid_request_disconnect_does_not_kill_the_server() {
         Arc::clone(&snn),
         &INPUT_DIMS,
         "127.0.0.1:0",
-        base(),
+        ServeConfig::default(),
     )
     .expect("spawn");
 
@@ -276,7 +282,7 @@ fn overload_answers_ok_or_busy_and_recovers() {
         Arc::clone(&snn),
         &INPUT_DIMS,
         "127.0.0.1:0",
-        ServeConfig { max_batch: 2, max_delay_us: 50, queue_cap: 2, workers: 1, ..base() },
+        ServeConfig { max_batch: 2, max_delay_us: 50, queue_cap: 2, workers: 1, ..ServeConfig::default() },
     )
     .expect("spawn");
 
@@ -329,7 +335,7 @@ fn shutdown_drains_and_then_refuses() {
         Arc::clone(&snn),
         &INPUT_DIMS,
         "127.0.0.1:0",
-        base(),
+        ServeConfig::default(),
     )
     .expect("spawn");
     let addr = server.local_addr();
@@ -358,14 +364,14 @@ fn shutdown_drains_and_then_refuses() {
 
 #[test]
 fn idle_server_drops_cleanly() {
-    // Shutdown with open-but-idle connections must not hang on the
-    // blocking reads.
+    // Shutdown with open-but-idle connections must not hang waiting for
+    // them to send anything.
     let snn = served_network(23);
     let server = Server::spawn(
         Arc::clone(&snn),
         &INPUT_DIMS,
         "127.0.0.1:0",
-        base(),
+        ServeConfig::default(),
     )
     .expect("spawn");
     let _idle_a = connect(&server);
@@ -376,51 +382,90 @@ fn idle_server_drops_cleanly() {
 
 /// Regression: an oversized declared payload length must produce a
 /// [`Status::BadRequest`] reply attributed to the offending frame — tagged
-/// on a v2 frame, untagged on v1 — followed by an orderly close, on
-/// **both** front ends. Before the fix the rejection was always untagged,
-/// so a multiplexed client could not tell which pipelined request died.
+/// on a v2 frame, untagged on v1 — followed by an orderly close. Before the
+/// fix the rejection was always untagged, so a multiplexed client could
+/// not tell which pipelined request died.
 #[test]
-fn oversized_declaration_replies_before_close_on_both_front_ends() {
+fn oversized_declaration_replies_before_close() {
     let snn = served_network(31);
-    let front_ends: &[FrontEnd] = if cfg!(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    )) {
-        &[FrontEnd::Threaded, FrontEnd::EventLoop]
-    } else {
-        &[FrontEnd::Threaded]
-    };
-    for &front_end in front_ends {
-        let server = Server::spawn(
-            Arc::clone(&snn),
-            &INPUT_DIMS,
-            "127.0.0.1:0",
-            ServeConfig { front_end, ..ServeConfig::default() },
-        )
-        .expect("spawn");
-        for tag in [None, Some(0xCAFE_F00Du32)] {
-            let mut stream = connect(&server);
-            let mut frame = Vec::new();
-            frame.extend_from_slice(&MAGIC.to_le_bytes());
-            frame.push(if tag.is_some() { VERSION_V2 } else { VERSION });
-            frame.push(OP_INFER);
-            if let Some(t) = tag {
-                frame.extend_from_slice(&t.to_le_bytes());
-            }
-            frame.extend_from_slice(&u32::MAX.to_le_bytes());
-            stream.write_all(&frame).expect("oversized header");
-            let reply = protocol::read_reply(&mut stream).expect("reply before close");
-            assert_eq!(reply.status, Status::BadRequest, "{front_end:?} tag {tag:?}");
-            assert_eq!(reply.tag, tag, "{front_end:?}: reply must echo the frame's tag");
-            assert!(reply.message.contains("cap"), "got {:?}", reply.message);
-            // The stream cannot be resynchronized: the server must close.
-            let mut probe = [0u8; 1];
-            assert_eq!(
-                stream.read(&mut probe).unwrap_or(0),
-                0,
-                "{front_end:?} tag {tag:?}: connection must close after the reply"
-            );
+    let server = Server::spawn(
+        Arc::clone(&snn),
+        &INPUT_DIMS,
+        "127.0.0.1:0",
+        ServeConfig::default(),
+    )
+    .expect("spawn");
+    for tag in [None, Some(0xCAFE_F00Du32)] {
+        let mut stream = connect(&server);
+        let mut frame = Vec::new();
+        frame.extend_from_slice(&MAGIC.to_le_bytes());
+        frame.push(if tag.is_some() { VERSION_V2 } else { VERSION });
+        frame.push(OP_INFER);
+        if let Some(t) = tag {
+            frame.extend_from_slice(&t.to_le_bytes());
         }
-        server.shutdown();
+        frame.extend_from_slice(&u32::MAX.to_le_bytes());
+        stream.write_all(&frame).expect("oversized header");
+        let reply = protocol::read_reply(&mut stream).expect("reply before close");
+        assert_eq!(reply.status, Status::BadRequest, "tag {tag:?}");
+        assert_eq!(reply.tag, tag, "reply must echo the frame's tag");
+        assert!(reply.message.contains("cap"), "got {:?}", reply.message);
+        // The stream cannot be resynchronized: the server must close.
+        assert_closed(&mut stream, &format!("oversized, tag {tag:?}"));
     }
+    server.shutdown();
+}
+
+/// `max_conns` caps open connections across the whole process, not per
+/// loop: with two loops and a cap of three, the fourth concurrent client
+/// is refused with an untagged Busy and closed, while the three admitted
+/// clients keep being served. Closing one frees its slot again.
+#[test]
+fn connection_cap_is_process_wide_across_loops() {
+    let snn = served_network(37);
+    let server = Server::spawn(
+        Arc::clone(&snn),
+        &INPUT_DIMS,
+        "127.0.0.1:0",
+        ServeConfig { loops: 2, max_conns: 3, ..ServeConfig::default() },
+    )
+    .expect("spawn");
+    let input = example(3700);
+    // A round trip per client proves it was accepted and registered before
+    // the next one connects.
+    let mut admitted: Vec<TcpStream> = (0..3)
+        .map(|_| {
+            let mut stream = connect(&server);
+            assert_eq!(roundtrip(&mut stream, &input).status, Status::Ok);
+            stream
+        })
+        .collect();
+
+    let mut fourth = connect(&server);
+    let reply = protocol::read_reply(&mut fourth).expect("refusal reply");
+    assert_eq!(reply.status, Status::Busy, "{}", reply.message);
+    assert_eq!(reply.tag, None, "a refusal at accept answers no request");
+    assert_closed(&mut fourth, "refused connection");
+    for stream in &mut admitted {
+        assert_eq!(roundtrip(stream, &input).status, Status::Ok, "admitted clients keep working");
+    }
+
+    // Closing one admitted client releases its slot once its loop sees the
+    // hang-up. Until then a newcomer is refused at once; after it, no
+    // refusal arrives and the newcomer is served.
+    drop(admitted.pop());
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let mut stream = loop {
+        let mut stream = connect(&server);
+        stream.set_read_timeout(Some(Duration::from_millis(200))).unwrap();
+        match protocol::read_reply(&mut stream) {
+            Ok(reply) => assert_eq!(reply.status, Status::Busy, "{}", reply.message),
+            Err(_) => break stream,
+        }
+        assert!(std::time::Instant::now() < deadline, "closed connection never freed its slot");
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert_eq!(roundtrip(&mut stream, &input).status, Status::Ok);
+    drop(admitted);
+    server.shutdown();
 }
