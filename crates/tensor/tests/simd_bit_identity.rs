@@ -6,9 +6,10 @@
 //! count. These properties drive adversarial shapes (0, 1, and
 //! non-multiples of the 8/16-lane widths), operands at the i8 coding
 //! extremes ±127, spike counts at the saturation ceiling 255, counts past
-//! `i16::MAX` (exercising the widening fallback), and deliberately
-//! unaligned subslices, and pin every available level against a scalar
-//! single-threaded run of the same entry point.
+//! `i16::MAX` (exercising the widening fallback), operands from dense to
+//! 95% zero (quantized ReLU counts and clustered weights are often mostly
+//! zero), and deliberately unaligned subslices, and pin every available
+//! level against a scalar single-threaded run of the same entry point.
 
 use proptest::prelude::*;
 use qsnc_tensor::{
@@ -26,10 +27,24 @@ fn hw_levels() -> Vec<SimdLevel> {
         .collect()
 }
 
-/// Spike-count matrix in `0..=255` with the extremes forced into the
-/// leading slots, so every run covers the saturation ceiling and zero.
-fn counts(len: usize, rng: &mut rand::rngs::StdRng) -> Vec<i32> {
-    let mut v: Vec<i32> = (0..len).map(|_| rng.gen_range(0..=255)).collect();
+/// Draws `len` values from `value`, replacing each with zero with
+/// probability `zero_pct`%.
+fn sparse(
+    len: usize,
+    zero_pct: u32,
+    rng: &mut rand::rngs::StdRng,
+    mut value: impl FnMut(&mut rand::rngs::StdRng) -> i32,
+) -> Vec<i32> {
+    (0..len)
+        .map(|_| if rng.gen_range(0u32..100) < zero_pct { 0 } else { value(rng) })
+        .collect()
+}
+
+/// Spike-count matrix in `0..=255`, `zero_pct`% zeros, with the extremes
+/// forced into the leading slots, so every run covers the saturation
+/// ceiling and zero.
+fn counts(len: usize, zero_pct: u32, rng: &mut rand::rngs::StdRng) -> Vec<i32> {
+    let mut v = sparse(len, zero_pct, rng, |r| r.gen_range(0..=255));
     if len > 0 {
         v[0] = 255;
     }
@@ -39,9 +54,10 @@ fn counts(len: usize, rng: &mut rand::rngs::StdRng) -> Vec<i32> {
     v
 }
 
-/// Weight codes in `-127..=127` with both extremes forced in.
-fn codes(len: usize, rng: &mut rand::rngs::StdRng) -> Vec<i32> {
-    let mut v: Vec<i32> = (0..len).map(|_| rng.gen_range(-127..=127)).collect();
+/// Weight codes in `-127..=127`, `zero_pct`% zeros, with both extremes
+/// forced in.
+fn codes(len: usize, zero_pct: u32, rng: &mut rand::rngs::StdRng) -> Vec<i32> {
+    let mut v = sparse(len, zero_pct, rng, |r| r.gen_range(-127..=127));
     if len > 0 {
         v[0] = 127;
     }
@@ -68,11 +84,11 @@ proptest! {
     fn igemm_matches_scalar_at_every_level_and_thread_count(
         // Spans 0, 1, and non-multiples of the 8- and 16-lane widths.
         m in 0usize..35, k in 0usize..35, n in 0usize..19,
-        seed in 0u64..10_000,
+        seed in 0u64..10_000, zero_pct in 0u32..=95,
     ) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let a = counts(m * k, &mut rng);
-        let w = codes(n * k, &mut rng);
+        let a = counts(m * k, zero_pct, &mut rng);
+        let w = codes(n * k, zero_pct, &mut rng);
         let packed = PackedCodes::try_pack(&w, n, k).expect("codes fit i8");
 
         let mut oracle = vec![0i32; m * n];
@@ -100,11 +116,11 @@ proptest! {
     #[test]
     fn igemm_wx_matches_scalar_at_every_level_and_thread_count(
         out_dim in 0usize..19, k in 0usize..35, pix in 0usize..35,
-        seed in 0u64..10_000,
+        seed in 0u64..10_000, zero_pct in 0u32..=95,
     ) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let x = counts(k * pix, &mut rng);
-        let w = codes(out_dim * k, &mut rng);
+        let x = counts(k * pix, zero_pct, &mut rng);
+        let w = codes(out_dim * k, zero_pct, &mut rng);
         let packed = PackedCodes::try_pack(&w, out_dim, k).expect("codes fit i8");
 
         let mut oracle = vec![0i32; out_dim * pix];
@@ -136,7 +152,7 @@ proptest! {
         in_c in 1usize..3, h in 3usize..9, w in 3usize..9,
         kernel in 1usize..4, stride in 1usize..3, padding in 0usize..2,
         out_c in 1usize..9,
-        seed in 0u64..10_000,
+        seed in 0u64..10_000, zero_pct in 0u32..=95,
     ) {
         prop_assume!(h + 2 * padding >= kernel && w + 2 * padding >= kernel);
         let spec = Conv2dSpec::new(kernel, stride, padding);
@@ -144,8 +160,8 @@ proptest! {
         let ckk = in_c * kernel * kernel;
 
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let src = counts(in_c * h * w, &mut rng);
-        let wcodes = codes(out_c * ckk, &mut rng);
+        let src = counts(in_c * h * w, zero_pct, &mut rng);
+        let wcodes = codes(out_c * ckk, zero_pct, &mut rng);
         let packed = PackedCodes::try_pack(&wcodes, out_c, ckk).expect("codes fit i8");
 
         let mut oracle = vec![0i32; out_c * pix];
@@ -178,12 +194,12 @@ proptest! {
         // kernels must detect that per call and the scalar fallback must
         // agree with the forced-scalar oracle exactly.
         m in 1usize..8, k in 1usize..8, n in 1usize..8,
-        seed in 0u64..10_000,
+        seed in 0u64..10_000, zero_pct in 0u32..=95,
     ) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut a: Vec<i32> = (0..m * k).map(|_| rng.gen_range(0..=40_000)).collect();
+        let mut a = sparse(m * k, zero_pct, &mut rng, |r| r.gen_range(0..=40_000));
         a[0] = 40_000; // definitely > i16::MAX
-        let w = codes(n * k, &mut rng);
+        let w = codes(n * k, zero_pct, &mut rng);
         let packed = PackedCodes::try_pack(&w, n, k).expect("codes fit i8");
 
         let mut oracle = vec![0i32; m * n];
@@ -200,11 +216,11 @@ proptest! {
     #[test]
     fn unaligned_subslices_are_bit_identical(
         m in 1usize..20, k in 1usize..40, n in 1usize..20,
-        seed in 0u64..10_000,
+        seed in 0u64..10_000, zero_pct in 0u32..=95,
     ) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let a = counts(m * k, &mut rng);
-        let w = codes(n * k, &mut rng);
+        let a = counts(m * k, zero_pct, &mut rng);
+        let w = codes(n * k, zero_pct, &mut rng);
         let packed = PackedCodes::try_pack(&w, n, k).expect("codes fit i8");
 
         let mut oracle = vec![0i32; m * n];
@@ -275,8 +291,8 @@ fn conv_simd_accumulates_like_scalar() {
     let ckk = in_c * spec.kernel * spec.kernel;
 
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-    let src = counts(in_c * h * w, &mut rng);
-    let wcodes = codes(out_c * ckk, &mut rng);
+    let src = counts(in_c * h * w, 0, &mut rng);
+    let wcodes = codes(out_c * ckk, 0, &mut rng);
     let packed = PackedCodes::try_pack(&wcodes, out_c, ckk).expect("codes fit i8");
 
     // Non-zero starting accumulator: both paths must add, not overwrite.
