@@ -1,38 +1,29 @@
-//! GEMM microbenchmarks: serial vs parallel row-banded execution, and the
-//! Dense vs SkipZeros inner kernels on dense and mostly-zero left operands.
+//! GEMM microbenchmarks: serial vs parallel row-banded execution, thread
+//! scaling, the integer fast path against the `f32` GEMM, and the SIMD
+//! dispatch levels.
 //!
-//! These measurements justify the `GemmKernel::Auto` heuristic (sample the
-//! left operand, skip zero terms only when they are common) and report the
-//! speedup of the thread-parallel path over the single-thread oracle.
+//! These measurements report the speedup of the thread-parallel path over
+//! the single-thread oracle and the micro-kernel payoff at each SIMD level.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qsnc_tensor::{
-    gemm, gemm_serial, igemm, igemm_wx, matmul, matmul_serial, parallel, set_gemm_kernel,
-    GemmKernel, PackedCodes, SimdLevel, Tensor,
+    gemm, gemm_serial, igemm, igemm_wx, matmul, matmul_serial, parallel, PackedCodes, SimdLevel,
+    Tensor,
 };
 use rand::{Rng, SeedableRng};
 
-/// `[rows, cols]` matrix with uniform entries; every `zero_every`-th entry is
-/// exactly zero (0 disables), modelling quantized ReLU activations.
-fn mat(rows: usize, cols: usize, seed: u64, zero_every: usize) -> Tensor {
+/// `[rows, cols]` matrix with uniform entries in `[-1, 1)`.
+fn mat(rows: usize, cols: usize, seed: u64) -> Tensor {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let data = (0..rows * cols)
-        .map(|i| {
-            if zero_every > 0 && i % zero_every == 0 {
-                0.0
-            } else {
-                rng.gen_range(-1.0f32..1.0)
-            }
-        })
-        .collect();
+    let data = (0..rows * cols).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
     Tensor::from_vec(data, [rows, cols])
 }
 
 /// Serial oracle vs thread-parallel GEMM on a square dense product.
 fn bench_serial_vs_parallel(c: &mut Criterion) {
     let n = 256;
-    let a = mat(n, n, 10, 0);
-    let b = mat(n, n, 11, 0);
+    let a = mat(n, n, 10);
+    let b = mat(n, n, 11);
     let mut group = c.benchmark_group("gemm_256");
     group.bench_function("serial", |bch| {
         bch.iter(|| matmul_serial(std::hint::black_box(&a), std::hint::black_box(&b)))
@@ -41,58 +32,6 @@ fn bench_serial_vs_parallel(c: &mut Criterion) {
         bch.iter(|| matmul(std::hint::black_box(&a), std::hint::black_box(&b)))
     });
     group.finish();
-}
-
-/// Dense vs SkipZeros kernels on a dense left operand: measures the cost of
-/// the skip branch when it never fires.
-fn bench_kernels_dense_input(c: &mut Criterion) {
-    let n = 192;
-    let a = mat(n, n, 20, 0);
-    let b = mat(n, n, 21, 0);
-    let mut out = vec![0.0f32; n * n];
-    let mut group = c.benchmark_group("gemm_kernel_dense_input");
-    for (label, kernel) in [("dense", GemmKernel::Dense), ("skipzeros", GemmKernel::SkipZeros)] {
-        group.bench_function(label, |bch| {
-            set_gemm_kernel(kernel);
-            bch.iter(|| {
-                out.fill(0.0);
-                gemm_serial(n, n, n, a.as_slice(), b.as_slice(), &mut out);
-            })
-        });
-    }
-    group.finish();
-    set_gemm_kernel(GemmKernel::Auto);
-}
-
-/// Dense vs SkipZeros kernels on a ~90%-zero left operand (quantized ReLU
-/// activations): measures the payoff of skipping zero terms.
-fn bench_kernels_sparse_input(c: &mut Criterion) {
-    let n = 192;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(30);
-    let data = (0..n * n)
-        .map(|_| {
-            if rng.gen_range(0.0f32..1.0) < 0.9 {
-                0.0
-            } else {
-                rng.gen_range(-1.0f32..1.0)
-            }
-        })
-        .collect();
-    let a = Tensor::from_vec(data, [n, n]);
-    let b = mat(n, n, 31, 0);
-    let mut out = vec![0.0f32; n * n];
-    let mut group = c.benchmark_group("gemm_kernel_sparse90_input");
-    for (label, kernel) in [("dense", GemmKernel::Dense), ("skipzeros", GemmKernel::SkipZeros)] {
-        group.bench_function(label, |bch| {
-            set_gemm_kernel(kernel);
-            bch.iter(|| {
-                out.fill(0.0);
-                gemm_serial(n, n, n, a.as_slice(), b.as_slice(), &mut out);
-            })
-        });
-    }
-    group.finish();
-    set_gemm_kernel(GemmKernel::Auto);
 }
 
 /// Parallel speedup as the thread count grows, on a conv-shaped product
@@ -105,8 +44,8 @@ fn bench_kernels_sparse_input(c: &mut Criterion) {
 /// on it.
 fn bench_thread_scaling(c: &mut Criterion) {
     let (m, k, n) = (64, 288, 1024);
-    let a = mat(m, k, 40, 0);
-    let b = mat(k, n, 41, 0);
+    let a = mat(m, k, 40);
+    let b = mat(k, n, 41);
     let mut out = vec![0.0f32; m * n];
     let mut group = c.benchmark_group("gemm_conv_shape_threads");
     for threads in [1usize, 2, 4] {
@@ -234,8 +173,6 @@ fn bench_simd_levels(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_serial_vs_parallel,
-    bench_kernels_dense_input,
-    bench_kernels_sparse_input,
     bench_thread_scaling,
     bench_igemm_vs_float,
     bench_simd_levels

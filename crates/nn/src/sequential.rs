@@ -99,9 +99,7 @@ impl Sequential {
     /// Runs a forward pass through every layer.
     ///
     /// When telemetry is recording, each layer's wall-clock time is tracked
-    /// under the span `nn.forward.{index:02}.{name}` and the network output
-    /// contributes to the `nn.forward.elements` / `nn.forward.zeros`
-    /// sparsity counters.
+    /// under the span `nn.forward.{index:02}.{name}`.
     pub fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
         let mut h = x.clone();
         let instrument = qsnc_telemetry::enabled();
@@ -115,11 +113,6 @@ impl Sequential {
                 None
             };
             h = layer.forward(&h, mode);
-        }
-        if instrument {
-            let zeros = h.iter().filter(|&&v| v == 0.0).count() as u64;
-            qsnc_telemetry::counter_add("nn.forward.elements", h.len() as u64);
-            qsnc_telemetry::counter_add("nn.forward.zeros", zeros);
         }
         h
     }

@@ -6,9 +6,8 @@
 //! the synaptic products need no floating point at all. [`PackedCodes`]
 //! stores a layer's code matrix transposed once into the `[in, out]` layout
 //! the inner loop streams through, and [`igemm`] runs the same cache-blocked
-//! loop nest as the `f32` [`crate::gemm`]. There is one exact loop per
-//! [`crate::simd_level`] and no kernel setting: `QSNC_GEMM_KERNEL` /
-//! [`crate::set_gemm_kernel`] govern the `f32` GEMM only.
+//! loop nest as the `f32` [`crate::gemm`]. Like the `f32` GEMM, there is
+//! one exact loop per [`crate::simd_level`] and no kernel setting.
 //!
 //! # SIMD fast path
 //!

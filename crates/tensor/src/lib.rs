@@ -55,8 +55,7 @@ pub use conv::{col2im, conv2d, conv2d_direct, im2col, pad2d, unpad2d, Conv2dSpec
 pub use igemm::{igemm, igemm_conv, igemm_wx, im2col_i32, PackedCodes};
 pub use init::TensorRng;
 pub use linalg::{
-    dot, gemm, gemm_bt, gemm_kernel, gemm_serial, matmul, matmul_naive, matmul_serial, matvec,
-    outer, set_gemm_kernel, transpose, GemmKernel,
+    dot, gemm, gemm_bt, gemm_serial, matmul, matmul_naive, matmul_serial, matvec, outer, transpose,
 };
 pub use parallel::{num_threads, par_tiles, set_num_threads, with_num_threads};
 pub use simd::{detected_simd, set_simd_level, simd_level, with_simd_level, SimdLevel};

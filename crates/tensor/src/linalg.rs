@@ -11,9 +11,10 @@
 //! row lands in — so the parallel product is **bit-identical** to the serial
 //! one at every thread count. The `_serial` variants are kept as explicit
 //! single-thread oracles for tests and speedup benchmarks.
-
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::OnceLock;
+//!
+//! Every entry point picks its path from [`crate::simd_level`], the product
+//! size and the thread count alone: one dense loop per SIMD level, which
+//! sparse activations take like dense ones.
 
 use crate::parallel;
 use crate::simd::{self, SimdLevel};
@@ -28,172 +29,12 @@ pub(crate) const BLOCK: usize = 64;
 /// threads; below this the spawn/join overhead outweighs the work.
 const GEMM_PAR_MIN_FLOPS: usize = 32 * 1024;
 
-/// Inner-loop strategy for the `f32` [`gemm`], [`matmul`] and [`gemm_bt`],
-/// set process-wide with [`set_gemm_kernel`]. The integer GEMM family in
-/// [`mod@crate::igemm`] has no kernel setting: it runs one exact loop per
-/// SIMD level.
-///
-/// The quantized networks this simulator runs produce activation matrices
-/// that are often mostly zero (ReLU outputs under low-bit quantization), so
-/// skipping `a[i,k] == 0` terms can win large factors — but on dense inputs
-/// the extra branch costs ~10-20%. `Auto` samples the left operand per call
-/// and picks accordingly; see `benches/gemm.rs` for the measured tradeoff.
-///
-/// Both kernels produce bit-identical results whenever the output starts
-/// zero-initialized or non-negatively signed: skipping a term only elides
-/// `acc += 0.0 * b`, which cannot change `acc` except for flipping the sign
-/// of an exact `-0.0` accumulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GemmKernel {
-    /// Sample `a` each call: use `SkipZeros` when ≥ 30% of sampled entries
-    /// are zero, `Dense` otherwise. The default.
-    Auto,
-    /// Unconditional fused multiply-add inner loop.
-    Dense,
-    /// Skip inner-loop iterations where `a[i, k] == 0`.
-    SkipZeros,
-}
-
-/// Process-wide kernel override: 0 = Auto, 1 = Dense, 2 = SkipZeros,
-/// [`KERNEL_UNSET`] = defer to the `QSNC_GEMM_KERNEL` environment default.
-static GEMM_KERNEL: AtomicU8 = AtomicU8::new(KERNEL_UNSET);
-
-/// Sentinel meaning "no [`set_gemm_kernel`] call yet".
-const KERNEL_UNSET: u8 = u8::MAX;
-
-/// Default resolved once from `QSNC_GEMM_KERNEL` (mirroring how
-/// `QSNC_THREADS` seeds [`crate::parallel`]).
-static ENV_KERNEL: OnceLock<GemmKernel> = OnceLock::new();
-
-fn env_kernel() -> GemmKernel {
-    *ENV_KERNEL.get_or_init(|| {
-        match std::env::var("QSNC_GEMM_KERNEL")
-            .map(|v| v.trim().to_ascii_lowercase())
-            .as_deref()
-        {
-            Ok("dense") => GemmKernel::Dense,
-            Ok("skipzeros") | Ok("skip_zeros") | Ok("skip-zeros") => GemmKernel::SkipZeros,
-            // "auto", unset, or unrecognized: the sampling default.
-            _ => GemmKernel::Auto,
-        }
-    })
-}
-
-/// Sets the process-wide [`GemmKernel`] used by the `f32` [`gemm`],
-/// [`matmul`] and [`gemm_bt`], overriding any `QSNC_GEMM_KERNEL`
-/// environment default. The integer [`mod@crate::igemm`] family ignores it.
-pub fn set_gemm_kernel(kernel: GemmKernel) {
-    let v = match kernel {
-        GemmKernel::Auto => 0,
-        GemmKernel::Dense => 1,
-        GemmKernel::SkipZeros => 2,
-    };
-    GEMM_KERNEL.store(v, Ordering::Relaxed);
-}
-
-/// Returns the effective process-wide [`GemmKernel`]: the value from
-/// [`set_gemm_kernel`] if one was set, else the `QSNC_GEMM_KERNEL`
-/// environment variable (`auto`/`dense`/`skipzeros`, read once per
-/// process), else [`GemmKernel::Auto`].
-pub fn gemm_kernel() -> GemmKernel {
-    match GEMM_KERNEL.load(Ordering::Relaxed) {
-        0 => GemmKernel::Auto,
-        1 => GemmKernel::Dense,
-        2 => GemmKernel::SkipZeros,
-        _ => env_kernel(),
-    }
-}
-
-/// `Auto` heuristic: sample up to 512 evenly strided entries of `a` and
-/// report whether at least 30% of them are zero.
-fn mostly_zero(a: &[f32]) -> bool {
-    if a.is_empty() {
-        return false;
-    }
-    let step = (a.len() / 512).max(1);
-    let mut seen = 0usize;
-    let mut zeros = 0usize;
-    let mut i = 0;
-    while i < a.len() {
-        seen += 1;
-        if a[i] == 0.0 {
-            zeros += 1;
-        }
-        i += step;
-    }
-    zeros * 10 >= seen * 3
-}
-
-/// Slots in the per-shape `Auto` decision cache. Collisions just force a
-/// resample, so a small direct-mapped table is plenty.
-const AUTO_SLOTS: usize = 64;
-
-/// Calls served from a cached `Auto` decision before the shape's left
-/// operand is resampled. Kernel choice never affects results (both kernels
-/// are result-preserving), so a stale decision costs performance only.
-const AUTO_RESAMPLE_PERIOD: u64 = 255;
-
-/// Direct-mapped cache of `Auto` sampling decisions, keyed by call-site
-/// shape. Each slot packs `(shape tag | kernel bit | remaining-call count)`
-/// into one `u64`, updated with relaxed loads/stores — a racing update
-/// merely resamples, it cannot corrupt a decision.
-static AUTO_CACHE: [AtomicU64; AUTO_SLOTS] = [const { AtomicU64::new(0) }; AUTO_SLOTS];
-
-/// FNV-1a over the product shape and the active SIMD tier, so no two
-/// (shape, ISA) combinations ever share a cache entry — a `QSNC_SIMD`
-/// override mid-process (tests mutate it) resolves against fresh slots
-/// instead of a stale decision made under another instruction set.
-fn shape_hash(m: usize, k: usize, n: usize, level: SimdLevel) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for v in [m as u64, k as u64, n as u64, level as u64] {
-        h ^= v;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-/// Returns the cached `Auto` decision for `hash`, invoking `sample` only
-/// when the slot holds a different shape or its resample budget ran out.
-fn auto_cached(hash: u64, sample: impl FnOnce() -> bool) -> GemmKernel {
-    let slot = &AUTO_CACHE[(hash >> 16) as usize % AUTO_SLOTS];
-    // High 48 bits identify the shape; bit 63 is forced so a real tag can
-    // never look like the empty slot. Low 16 bits: kernel bit 8, count 0-7.
-    let tag = (hash | 1 << 63) & !0xFFFFu64;
-    let cur = slot.load(Ordering::Relaxed);
-    if cur & !0xFFFF == tag {
-        let count = cur & 0xFF;
-        if count > 0 {
-            slot.store((cur & !0xFFu64) | (count - 1), Ordering::Relaxed);
-            return if cur & 0x100 != 0 { GemmKernel::SkipZeros } else { GemmKernel::Dense };
-        }
-    }
-    let skip = sample();
-    slot.store(tag | u64::from(skip) << 8 | AUTO_RESAMPLE_PERIOD, Ordering::Relaxed);
-    if skip { GemmKernel::SkipZeros } else { GemmKernel::Dense }
-}
-
-/// Resolves the effective kernel for an `f32` call of shape `(m, k, n)`
-/// with left operand `a`.
-///
-/// Resolution happens once per [`gemm`] call — never per band — so the
-/// choice (and therefore the result) cannot depend on the thread count.
-/// Under `Auto` the sampling decision is cached per call-site shape and
-/// refreshed every [`AUTO_RESAMPLE_PERIOD`] calls rather than resampled
-/// every call.
-fn resolve_kernel(m: usize, k: usize, n: usize, a: &[f32], level: SimdLevel) -> GemmKernel {
-    let kernel = match gemm_kernel() {
-        GemmKernel::Auto => auto_cached(shape_hash(m, k, n, level), || mostly_zero(a)),
-        k => k,
-    };
+/// Counts one public `f32` GEMM call under `tensor.gemm.calls` — once per
+/// call, never per band or tile, so the count is thread-count independent.
+fn count_call() {
     if qsnc_telemetry::enabled() {
         qsnc_telemetry::counter_add("tensor.gemm.calls", 1);
-        let name = match kernel {
-            GemmKernel::SkipZeros => "tensor.gemm.kernel.skip_zeros",
-            _ => "tensor.gemm.kernel.dense",
-        };
-        qsnc_telemetry::counter_add(name, 1);
     }
-    kernel
 }
 
 /// Blocked GEMM over one row band: `c[mb×n] += a[mb×k] · b[k×n]`.
@@ -201,22 +42,11 @@ fn resolve_kernel(m: usize, k: usize, n: usize, a: &[f32], level: SimdLevel) -> 
 /// Row indices are band-local; because the accumulation order for each
 /// output element is ascending `kk` within ascending `k0` blocks regardless
 /// of `mb`, running bands separately is bit-identical to one big call.
-/// Dense bands at a SIMD `level` above scalar go to the register-tiled
+/// At a SIMD `level` above scalar the band goes to the register-tiled
 /// [`crate::simd::gemm_tile_f32`] kernel, whose per-element order is the
 /// same ascending `k` with separate multiply then add — bit-identical again.
-#[allow(clippy::too_many_arguments)] // flat scalars keep the hot band call free of struct plumbing
-fn gemm_band(
-    kernel: GemmKernel,
-    level: SimdLevel,
-    mb: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-) {
-    let skip = kernel == GemmKernel::SkipZeros;
-    if !skip && level != SimdLevel::Scalar {
+fn gemm_band(level: SimdLevel, mb: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    if level != SimdLevel::Scalar {
         // SAFETY: dense contiguous panels — `a` is `mb×k`, `b` is `k×n`,
         // `c` is `mb×n`, all with stride equal to their row length (lengths
         // asserted by every public caller), and this call owns `c` alone.
@@ -234,9 +64,6 @@ fn gemm_band(
                 for i in i0..i_end {
                     for kk in k0..k_end {
                         let aik = a[i * k + kk];
-                        if skip && aik == 0.0 {
-                            continue;
-                        }
                         let brow = &b[kk * n + j0..kk * n + j_end];
                         let crow = &mut c[i * n + j0..i * n + j_end];
                         for (cv, &bv) in crow.iter_mut().zip(brow.iter()) {
@@ -311,26 +138,23 @@ pub fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     assert_eq!(b.len(), k * n, "rhs slice length mismatch");
     assert_eq!(c.len(), m * n, "output slice length mismatch");
 
+    count_call();
     let level = simd::simd_level();
-    let kernel = resolve_kernel(m, k, n, a, level);
-    if m * k * n < GEMM_PAR_MIN_FLOPS || parallel::num_threads() == 1 {
-        gemm_band(kernel, level, m, k, n, a, b, c);
+    let serial = m * k * n < GEMM_PAR_MIN_FLOPS || parallel::num_threads() == 1;
+    if serial || (level == SimdLevel::Scalar && m < 2) {
+        gemm_band(level, m, k, n, a, b, c);
         return;
     }
-    if kernel == GemmKernel::SkipZeros || level == SimdLevel::Scalar {
-        if m < 2 {
-            gemm_band(kernel, level, m, k, n, a, b, c);
-            return;
-        }
+    if level == SimdLevel::Scalar {
         parallel::par_bands_mut(c, m, n, |row0, rows, c_band| {
-            gemm_band(kernel, level, rows, k, n, &a[row0 * k..(row0 + rows) * k], b, c_band);
+            gemm_band(level, rows, k, n, &a[row0 * k..(row0 + rows) * k], b, c_band);
         });
         return;
     }
-    // Dense SIMD: split the output into a 2-D grid of register-kernel
-    // panels. Tile columns are sized so one tile's slice of `b` (`k · tc`
-    // floats) stays inside an L2-sized panel; tile rows use the L1 block
-    // edge. Whole tiles are stolen off the pool's shared counter, and every
+    // SIMD: split the output into a 2-D grid of register-kernel panels.
+    // Tile columns are sized so one tile's slice of `b` (`k · tc` floats)
+    // stays inside an L2-sized panel; tile rows use the L1 block edge.
+    // Whole tiles are stolen off the pool's shared counter, and every
     // output element is owned by exactly one tile.
     let tc = (GEMM_TILE_PANEL / k.max(1)).clamp(BLOCK.min(n.max(1)), n.max(1));
     let tr = BLOCK.min(m.max(1));
@@ -373,8 +197,8 @@ struct SyncPtr<T>(*mut T);
 unsafe impl<T: Send> Sync for SyncPtr<T> {}
 
 /// Single-threaded [`gemm`], kept as the reference oracle for tests and
-/// serial-vs-parallel benchmarks. Kernel selection (`Auto` sampling) is
-/// shared with [`gemm`], so the two differ only in threading.
+/// serial-vs-parallel benchmarks. It runs the same per-level loop as
+/// [`gemm`] on one band, so the two differ only in threading.
 ///
 /// # Panics
 ///
@@ -383,8 +207,8 @@ pub fn gemm_serial(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [
     assert_eq!(a.len(), m * k, "lhs slice length mismatch");
     assert_eq!(b.len(), k * n, "rhs slice length mismatch");
     assert_eq!(c.len(), m * n, "output slice length mismatch");
-    let level = simd::simd_level();
-    gemm_band(resolve_kernel(m, k, n, a, level), level, m, k, n, a, b, c);
+    count_call();
+    gemm_band(simd::simd_level(), m, k, n, a, b, c);
 }
 
 /// One row band of [`gemm_bt`]: `c[mb×n] += a[mb×k] · btᵀ`.
@@ -392,8 +216,7 @@ pub fn gemm_serial(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [
 /// Each output element starts from its current value and accumulates in
 /// ascending `k` — the same per-element order as [`gemm_band`], so the two
 /// forms are bit-identical on equal inputs.
-fn gemm_bt_band(kernel: GemmKernel, mb: usize, k: usize, n: usize, a: &[f32], bt: &[f32], c: &mut [f32]) {
-    let skip = kernel == GemmKernel::SkipZeros;
+fn gemm_bt_band(mb: usize, k: usize, n: usize, a: &[f32], bt: &[f32], c: &mut [f32]) {
     for i0 in (0..mb).step_by(BLOCK) {
         let i_end = (i0 + BLOCK).min(mb);
         for j0 in (0..n).step_by(BLOCK) {
@@ -403,16 +226,8 @@ fn gemm_bt_band(kernel: GemmKernel, mb: usize, k: usize, n: usize, a: &[f32], bt
                 for j in j0..j_end {
                     let brow = &bt[j * k..(j + 1) * k];
                     let mut acc = c[i * n + j];
-                    if skip {
-                        for (&av, &bv) in arow.iter().zip(brow.iter()) {
-                            if av != 0.0 {
-                                acc += av * bv;
-                            }
-                        }
-                    } else {
-                        for (&av, &bv) in arow.iter().zip(brow.iter()) {
-                            acc += av * bv;
-                        }
+                    for (&av, &bv) in arow.iter().zip(brow.iter()) {
+                        acc += av * bv;
                     }
                     c[i * n + j] = acc;
                 }
@@ -440,13 +255,13 @@ pub fn gemm_bt(m: usize, k: usize, n: usize, a: &[f32], bt: &[f32], c: &mut [f32
     assert_eq!(bt.len(), n * k, "transposed rhs slice length mismatch");
     assert_eq!(c.len(), m * n, "output slice length mismatch");
 
-    let kernel = resolve_kernel(m, k, n, a, simd::simd_level());
+    count_call();
     if m < 2 || m * k * n < GEMM_PAR_MIN_FLOPS || parallel::num_threads() == 1 {
-        gemm_bt_band(kernel, m, k, n, a, bt, c);
+        gemm_bt_band(m, k, n, a, bt, c);
         return;
     }
     parallel::par_bands_mut(c, m, n, |row0, rows, c_band| {
-        gemm_bt_band(kernel, rows, k, n, &a[row0 * k..(row0 + rows) * k], bt, c_band);
+        gemm_bt_band(rows, k, n, &a[row0 * k..(row0 + rows) * k], bt, c_band);
     });
 }
 
@@ -547,14 +362,6 @@ pub fn dot(x: &Tensor, y: &Tensor) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Restores the unset sentinel: [`set_gemm_kernel`] can only store
-    /// concrete kernels, but a test must put the env-deferral state back so
-    /// the rest of the suite sees whatever `QSNC_GEMM_KERNEL` the process
-    /// was launched with.
-    fn reset_gemm_kernel_for_tests() {
-        GEMM_KERNEL.store(KERNEL_UNSET, Ordering::Relaxed);
-    }
 
     #[test]
     fn matmul_identity() {
@@ -666,135 +473,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn dense_and_skipzero_kernels_agree_bitwise() {
-        // Zero-initialized output: skipping 0·b terms cannot change any bit.
-        let a = rand_mat(40, 50, 31, 3); // every 3rd entry exactly zero
-        let b = rand_mat(50, 60, 32, 0);
-        let mut dense = vec![0.0f32; 40 * 60];
-        let mut skip = vec![0.0f32; 40 * 60];
-        for level in [SimdLevel::Scalar, simd::simd_level()] {
-            dense.fill(0.0);
-            skip.fill(0.0);
-            gemm_band(GemmKernel::Dense, level, 40, 50, 60, a.as_slice(), b.as_slice(), &mut dense);
-            gemm_band(
-                GemmKernel::SkipZeros,
-                level,
-                40,
-                50,
-                60,
-                a.as_slice(),
-                b.as_slice(),
-                &mut skip,
-            );
-            for (x, y) in dense.iter().zip(skip.iter()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "level={level:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn kernel_setting_round_trips_and_auto_samples() {
-        // The only test that mutates the kernel override. Start from the
-        // unset sentinel: gemm_kernel() must defer to QSNC_GEMM_KERNEL —
-        // checked against whatever this test process was launched with so
-        // the CI skipzeros leg passes too.
-        reset_gemm_kernel_for_tests();
-        assert_eq!(gemm_kernel(), env_kernel());
-        set_gemm_kernel(GemmKernel::Dense);
-        assert_eq!(gemm_kernel(), GemmKernel::Dense);
-        set_gemm_kernel(GemmKernel::Auto);
-        assert_eq!(gemm_kernel(), GemmKernel::Auto);
-        // Restore the "unset" sentinel so other tests see the env default.
-        reset_gemm_kernel_for_tests();
-        assert_eq!(gemm_kernel(), env_kernel());
-
-        assert!(mostly_zero(&vec![0.0f32; 1000]));
-        assert!(!mostly_zero(&vec![1.0f32; 1000]));
-        let mixed: Vec<f32> = (0..1000).map(|i| if i % 2 == 0 { 0.0 } else { 1.0 }).collect();
-        assert!(mostly_zero(&mixed));
-        assert!(!mostly_zero(&[]));
-    }
-
-    #[test]
-    fn auto_cache_reuses_decision_until_period_expires() {
-        // A shape no other test uses, so this slot is ours alone.
-        let hash = shape_hash(911, 913, 917, SimdLevel::Scalar);
-        let mut samples = 0u32;
-        let k1 = auto_cached(hash, || {
-            samples += 1;
-            true
-        });
-        assert_eq!(k1, GemmKernel::SkipZeros);
-        assert_eq!(samples, 1);
-        // Served from cache: the closure must not run again, and the cached
-        // decision sticks even if a fresh sample would now disagree.
-        for _ in 0..AUTO_RESAMPLE_PERIOD {
-            let k = auto_cached(hash, || {
-                samples += 1;
-                false
-            });
-            assert_eq!(k, GemmKernel::SkipZeros);
-        }
-        assert_eq!(samples, 1, "cached calls must not resample");
-        // Budget exhausted: the next call resamples.
-        let k2 = auto_cached(hash, || {
-            samples += 1;
-            false
-        });
-        assert_eq!(k2, GemmKernel::Dense);
-        assert_eq!(samples, 2);
-        // A different shape (even one colliding into the same slot) always
-        // resamples on first sight: its tag cannot match the stored one.
-        let other = shape_hash(1911, 1913, 1917, SimdLevel::Scalar);
-        assert_ne!(other, hash);
-        let mut hit = false;
-        auto_cached(other, || {
-            hit = true;
-            true
-        });
-        assert!(hit, "unseen shape must sample");
-    }
-
-    #[test]
-    fn auto_cache_is_keyed_on_simd_level() {
-        // Same shape, different ISA tier → different cache identity, so a
-        // QSNC_SIMD override mid-process can never be served a decision made
-        // under another instruction set.
-        let shapes = [(2911, 2913, 2917), (77, 401, 93)];
-        for &(m, k, n) in &shapes {
-            let per_level: Vec<u64> = [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2]
-                .iter()
-                .map(|&l| shape_hash(m, k, n, l))
-                .collect();
-            assert_ne!(per_level[0], per_level[1], "m={m}");
-            assert_ne!(per_level[1], per_level[2], "m={m}");
-            assert_ne!(per_level[0], per_level[2], "m={m}");
-        }
-        // End to end: cache a decision under Scalar, then resolve the same
-        // shape under another level — the cached Scalar decision must not be
-        // served (the closure runs again for the new key).
-        let scalar_hash = shape_hash(2911, 2913, 2917, SimdLevel::Scalar);
-        let avx_hash = shape_hash(2911, 2913, 2917, SimdLevel::Avx2);
-        let mut samples = 0u32;
-        assert_eq!(
-            auto_cached(scalar_hash, || {
-                samples += 1;
-                true
-            }),
-            GemmKernel::SkipZeros
-        );
-        assert_eq!(
-            auto_cached(avx_hash, || {
-                samples += 1;
-                false
-            }),
-            GemmKernel::Dense,
-            "a level switch must resample, not reuse the other level's choice"
-        );
-        assert_eq!(samples, 2);
     }
 
     #[test]

@@ -29,14 +29,14 @@ fn hw_levels() -> Vec<SimdLevel> {
 
 /// Draws `len` values from `value`, replacing each with zero with
 /// probability `zero_pct`%.
-fn sparse(
+fn sparse<T: Default>(
     len: usize,
     zero_pct: u32,
     rng: &mut rand::rngs::StdRng,
-    mut value: impl FnMut(&mut rand::rngs::StdRng) -> i32,
-) -> Vec<i32> {
+    mut value: impl FnMut(&mut rand::rngs::StdRng) -> T,
+) -> Vec<T> {
     (0..len)
-        .map(|_| if rng.gen_range(0u32..100) < zero_pct { 0 } else { value(rng) })
+        .map(|_| if rng.gen_range(0u32..100) < zero_pct { T::default() } else { value(rng) })
         .collect()
 }
 
@@ -244,20 +244,26 @@ proptest! {
     #[test]
     fn f32_gemm_is_bitwise_identical_across_levels_and_threads(
         m in 0usize..22, k in 0usize..22, n in 0usize..22,
-        seed in 0u64..10_000,
+        seed in 0u64..10_000, zero_pct in 0u32..=95,
     ) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let a: Vec<f32> = (0..m * k).map(|_| rng.gen_range(-2.0..2.0)).collect();
+        let a = sparse(m * k, zero_pct, &mut rng, |r| r.gen_range(-2.0f32..2.0));
         let b: Vec<f32> = (0..k * n).map(|_| rng.gen_range(-2.0..2.0)).collect();
+        // Non-zero starting output with a signed zero forced in: every level
+        // must add into `c` in the same order, not overwrite it.
+        let mut c0: Vec<f32> = (0..m * n).map(|_| rng.gen_range(-2.0..2.0)).collect();
+        if let Some(first) = c0.first_mut() {
+            *first = -0.0;
+        }
 
-        let mut oracle = vec![0.0f32; m * n];
+        let mut oracle = c0.clone();
         simd::with_simd_level(SimdLevel::Scalar, || {
             parallel::with_num_threads(1, || gemm(m, k, n, &a, &b, &mut oracle));
         });
 
         for level in hw_levels() {
             for threads in [1usize, 3] {
-                let mut c = vec![0.0f32; m * n];
+                let mut c = c0.clone();
                 simd::with_simd_level(level, || {
                     parallel::with_num_threads(threads, || gemm(m, k, n, &a, &b, &mut c));
                 });
@@ -271,7 +277,7 @@ proptest! {
                 }
             }
             // The serial entry point shares the same micro-kernels.
-            let mut c = vec![0.0f32; m * n];
+            let mut c = c0.clone();
             simd::with_simd_level(level, || gemm_serial(m, k, n, &a, &b, &mut c));
             for (&x, &y) in c.iter().zip(oracle.iter()) {
                 prop_assert_eq!(x.to_bits(), y.to_bits());
