@@ -42,7 +42,13 @@
 //! With `QSNC_BENCH_JSON` set, appends one JSON line per client count
 //! plus one line per observability phase.
 //!
-//! Usage: `serve_load [shots-per-client]` (default 200).
+//! `--rounds N` replaces all of the above with N interleaved rounds of the
+//! 1- and 16-client saturating arms on one server and prints each arm's
+//! median and quartiles of throughput and p99. Alternating the arms spreads
+//! slow host periods over both, which is what an A/B comparison of two
+//! builds needs.
+//!
+//! Usage: `serve_load [shots-per-client] [--rounds N]` (default 200 shots).
 
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
@@ -73,6 +79,9 @@ const SCALE_OFFERED_RPS: f64 = 640.0;
 /// Total samples per scale-sweep arm (shots × clients stays constant so
 /// every arm estimates its p99 from the same sample count).
 const SCALE_TOTAL_SAMPLES: usize = 2_560;
+
+/// Client counts alternated by `--rounds`.
+const ROUND_CLIENT_COUNTS: [usize; 2] = [1, 16];
 
 /// Client count used for the telemetry/admin-overhead A/B comparisons.
 const OVERHEAD_CLIENTS: usize = 4;
@@ -343,11 +352,76 @@ fn measured_rps(server: &Server, shots: usize, scrape: bool) -> f64 {
     best
 }
 
+/// Nearest-rank first quartile, median and third quartile.
+fn quartiles(mut v: Vec<f64>) -> [f64; 3] {
+    v.sort_unstable_by(f64::total_cmp);
+    [0.25, 0.5, 0.75].map(|p| v[((v.len() - 1) as f64 * p).round() as usize])
+}
+
+/// `--rounds N`: each round runs the [`ROUND_CLIENT_COUNTS`] saturating arms
+/// back to back on one warmed server; reports every round plus the median
+/// and quartiles per client count.
+fn run_rounds(snn: Arc<SpikingNetwork>, config: ServeConfig, shots: usize, rounds: usize) {
+    let server = Server::spawn(snn, &[1, 28, 28], "127.0.0.1:0", config.clone())
+        .expect("spawn server");
+    let addr = server.local_addr();
+    for &clients in &ROUND_CLIENT_COUNTS {
+        run_sweep(addr, clients, shots.div_ceil(10).max(5));
+    }
+    let mut table = Table::new(
+        "interleaved rounds — 4-bit LeNet, closed-loop clients",
+        &["Round", "Clients", "Ok", "Busy", "Throughput (req/s)", "p99 (µs)"],
+    );
+    let mut arms: Vec<(Vec<f64>, Vec<f64>)> = vec![Default::default(); ROUND_CLIENT_COUNTS.len()];
+    for round in 1..=rounds {
+        for (&clients, (rps, p99)) in ROUND_CLIENT_COUNTS.iter().zip(&mut arms) {
+            let sweep = run_sweep(addr, clients, shots);
+            table.row(&[
+                format!("{round}"),
+                format!("{clients}"),
+                format!("{}", sweep.ok),
+                format!("{}", sweep.busy),
+                format!("{:.1}", sweep.throughput_rps),
+                format!("{:.0}", sweep.p99_us),
+            ]);
+            rps.push(sweep.throughput_rps);
+            p99.push(sweep.p99_us);
+        }
+    }
+    server.shutdown();
+    let mut summary = Table::new(
+        format!("median [q1, q3] over {rounds} rounds"),
+        &["Clients", "Throughput (req/s)", "p99 (µs)"],
+    );
+    for (&clients, (rps, p99)) in ROUND_CLIENT_COUNTS.iter().zip(arms) {
+        let [r1, r2, r3] = quartiles(rps);
+        let [p1, p2, p3] = quartiles(p99);
+        summary.row(&[
+            format!("{clients}"),
+            format!("{r2:.1} [{r1:.1}, {r3:.1}]"),
+            format!("{p2:.0} [{p1:.0}, {p3:.0}]"),
+        ]);
+    }
+    let mut report = Report::new("qsnc-serve load generator (interleaved rounds)");
+    report.table(table).table(summary).note(format!(
+        "config: max_batch={}, queue_cap={}, workers={}, {shots} shots/client",
+        config.max_batch, config.queue_cap, config.workers
+    ));
+    report.emit();
+}
+
 fn main() {
-    let shots: usize = std::env::args()
-        .nth(1)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200);
+    let mut shots: usize = 200;
+    let mut rounds: Option<usize> = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        if arg == "--rounds" {
+            let n = args.next().and_then(|v| v.parse().ok()).filter(|&n| n > 0);
+            rounds = Some(n.expect("--rounds takes a positive round count"));
+        } else if let Ok(n) = arg.parse() {
+            shots = n;
+        }
+    }
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let snn = Arc::new(compile_lenet());
@@ -355,6 +429,10 @@ fn main() {
     // Phase 0: the classic closed-loop sweep against a plain server.
     let mut config = ServeConfig::from_env();
     config.admin_addr = None; // the A/B phase below controls the admin plane
+    if let Some(rounds) = rounds {
+        run_rounds(snn, config, shots, rounds);
+        return;
+    }
     let server = Server::spawn(Arc::clone(&snn), &[1, 28, 28], "127.0.0.1:0", config.clone())
         .expect("spawn server");
     let addr = server.local_addr();
@@ -502,9 +580,9 @@ fn main() {
         .table(scale_table)
         .table(sketch_table)
         .note(format!(
-            "config: max_batch={}, max_delay_us={}, queue_cap={}, workers={}, {} shots/client, \
+            "config: max_batch={}, queue_cap={}, workers={}, {} shots/client, \
              {cores} cores detected",
-            config.max_batch, config.max_delay_us, config.queue_cap, config.workers, shots
+            config.max_batch, config.queue_cap, config.workers, shots
         ))
         .note(format!(
             "scale sweep: p99 {scale_p99_16:.0}µs at {} clients vs {scale_p99_max:.0}µs at {} \

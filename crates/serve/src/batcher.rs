@@ -1,20 +1,19 @@
-//! Dynamic micro-batching over the bounded request queue.
+//! Work-conserving micro-batching over the bounded request queue.
 //!
-//! The batcher owns the receiving end of the server's bounded request
-//! queue. A batch window opens when the first request arrives and flushes
-//! when either `max_batch` requests have been collected **or**
-//! `max_delay` has elapsed since the window opened — whichever comes
-//! first. Under load the queue always has requests waiting, so batches
-//! fill to `max_batch` with no added latency; at low rates a lone request
-//! waits at most `max_delay` before running alone. This is the standard
-//! throughput/latency trade dynamic batching makes, tuned by the
-//! `QSNC_SERVE_MAX_BATCH` / `QSNC_SERVE_MAX_DELAY_US` knobs.
+//! Every worker shares one [`MicroBatcher`] behind a mutex and pulls from
+//! the queue only when it is free: it blocks for the first request, then
+//! takes — without waiting — whatever else is already queued, up to
+//! `max_batch`. A lone request therefore runs the moment a worker is idle,
+//! and requests accumulate only while every worker is busy, so batch size
+//! tracks load with no timer. The one knob is `QSNC_SERVE_MAX_BATCH`.
+//! Because workers pull only when free, overload leaves requests in the
+//! bounded queue, where a full queue answers `Busy` at admission.
 
 use crate::event_loop::LoopShared;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::sync::mpsc::Receiver;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// One admitted inference request travelling from an event loop to a
 /// worker, and back: the worker hands the result to `shared` (the owning
@@ -53,8 +52,8 @@ pub(crate) struct WorkerReply {
     pub(crate) argmax: u32,
     /// The class logits, bit-identical to `infer_reference`.
     pub(crate) logits: Vec<f32>,
-    /// Microseconds the request spent queued + batching before a worker
-    /// picked its batch up (zero when telemetry is off).
+    /// Microseconds the request spent queued before a worker took it
+    /// (zero when telemetry is off).
     pub(crate) queue_us: u64,
     /// Microseconds the batched `infer_batch_into` call took; shared by
     /// every request in the batch (zero when telemetry is off).
@@ -69,11 +68,11 @@ pub(crate) const BATCH_SIZE_EDGES: &[f64] = &[2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
 /// Histogram bucket edges for `serve.queue.depth`.
 pub(crate) const QUEUE_DEPTH_EDGES: &[f64] = &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0];
 
-/// The consuming half of the request queue plus the batching policy.
+/// The consuming half of the request queue plus the batching policy,
+/// shared by every worker.
 pub(crate) struct MicroBatcher {
     rx: Receiver<Request>,
     max_batch: usize,
-    max_delay: Duration,
     /// Shared queue-occupancy gauge, decremented as requests are popped.
     depth: Arc<AtomicUsize>,
     /// A request popped from the queue but held back because it targets a
@@ -83,26 +82,16 @@ pub(crate) struct MicroBatcher {
 }
 
 impl MicroBatcher {
-    pub(crate) fn new(
-        rx: Receiver<Request>,
-        max_batch: usize,
-        max_delay: Duration,
-        depth: Arc<AtomicUsize>,
-    ) -> Self {
+    pub(crate) fn new(rx: Receiver<Request>, max_batch: usize, depth: Arc<AtomicUsize>) -> Self {
         assert!(max_batch >= 1, "max_batch must be at least 1");
-        MicroBatcher { rx, max_batch, max_delay, depth, carry: None }
-    }
-
-    fn pop(&self, req: Request, batch: &mut Vec<Request>) {
-        self.depth.fetch_sub(1, Ordering::Relaxed);
-        batch.push(req);
+        MicroBatcher { rx, max_batch, depth, carry: None }
     }
 
     /// Whether `req` can run in the same `infer_batch_into` call as the
     /// batch opener: a batch is **version-homogeneous** — one engine
     /// snapshot per batch — so a request for a different model (or a
-    /// just-swapped version of the same model) ends the window and opens
-    /// the next batch.
+    /// just-swapped version of the same model) ends the batch and opens
+    /// the next one.
     fn joins(batch: &[Request], req: &Request) -> bool {
         match (batch.first().and_then(|r| r.lease.as_ref()), req.lease.as_ref()) {
             (Some(a), Some(b)) => a.same_version(b),
@@ -111,7 +100,9 @@ impl MicroBatcher {
         }
     }
 
-    /// Blocks for the next batch. Returns `None` once every producer has
+    /// Blocks for the next request, then returns it together with every
+    /// request already queued behind it, up to `max_batch` and up to the
+    /// first engine-version change. Returns `None` once every producer has
     /// disconnected and the queue is drained — buffered requests are still
     /// delivered first, which is what makes shutdown drain rather than
     /// drop.
@@ -120,30 +111,24 @@ impl MicroBatcher {
         match self.carry.take() {
             // A carried request was depth-decremented when first popped.
             Some(req) => batch.push(req),
-            None => match self.rx.recv() {
-                Ok(req) => self.pop(req, &mut batch),
-                Err(_) => return None,
-            },
+            None => {
+                batch.push(self.rx.recv().ok()?);
+                self.depth.fetch_sub(1, Ordering::Relaxed);
+            }
         }
-        let deadline = Instant::now() + self.max_delay;
+        #[cfg(test)]
+        batch[0].shared.hooks.gate.pass();
         while batch.len() < self.max_batch {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
+            let Ok(req) = self.rx.try_recv() else { break };
+            self.depth.fetch_sub(1, Ordering::Relaxed);
+            if !Self::joins(&batch, &req) {
+                self.carry = Some(req);
                 break;
             }
-            match self.rx.recv_timeout(remaining) {
-                Ok(req) if Self::joins(&batch, &req) => self.pop(req, &mut batch),
-                Ok(req) => {
-                    // Different engine version: flush now, start the next
-                    // batch from this request.
-                    self.depth.fetch_sub(1, Ordering::Relaxed);
-                    self.carry = Some(req);
-                    break;
-                }
-                Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => break,
-            }
+            batch.push(req);
         }
         if qsnc_telemetry::enabled() {
+            qsnc_telemetry::counter_add("serve.batches", 1);
             qsnc_telemetry::observe("serve.batch.size", batch.len() as f64, BATCH_SIZE_EDGES);
         }
         Some(batch)
@@ -153,10 +138,12 @@ impl MicroBatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::mpsc;
+    use crate::registry::{Lease, ModelRegistry, ModelSpec};
+    use std::sync::mpsc::{self, SyncSender};
+    use std::time::Duration;
 
     /// A lease-less request routed to a loop that never runs: the batcher
-    /// only windows requests, it never completes them.
+    /// only groups requests, it never completes them.
     fn request(v: f32) -> Request {
         Request {
             input: vec![v],
@@ -171,46 +158,88 @@ mod tests {
         }
     }
 
-    #[test]
-    fn flushes_at_max_batch_before_deadline() {
-        let (tx, rx) = mpsc::sync_channel(16);
-        let depth = Arc::new(AtomicUsize::new(0));
-        // A generous delay: the flush below must come from the size bound.
-        let mut batcher = MicroBatcher::new(rx, 3, Duration::from_secs(30), Arc::clone(&depth));
-        for i in 0..5 {
-            depth.fetch_add(1, Ordering::Relaxed);
-            tx.send(request(i as f32)).unwrap();
-        }
-        let start = Instant::now();
-        let batch = batcher.next_batch().expect("batch");
-        assert_eq!(batch.len(), 3);
-        assert!(start.elapsed() < Duration::from_secs(5), "flush must not wait the delay out");
-        assert_eq!(depth.load(Ordering::Relaxed), 2);
-        assert_eq!(batch[0].input, vec![0.0]);
-        assert_eq!(batch[2].input, vec![2.0]);
+    /// Admits `req` the way the event loop does: gauge first, then queue.
+    fn admit(tx: &SyncSender<Request>, depth: &AtomicUsize, req: Request) {
+        depth.fetch_add(1, Ordering::Relaxed);
+        tx.send(req).unwrap();
     }
 
     #[test]
-    fn flushes_partial_batch_at_deadline() {
+    fn lone_request_is_returned_without_waiting() {
         let (tx, rx) = mpsc::sync_channel(16);
         let depth = Arc::new(AtomicUsize::new(0));
-        let mut batcher = MicroBatcher::new(rx, 8, Duration::from_millis(20), Arc::clone(&depth));
-        depth.fetch_add(1, Ordering::Relaxed);
-        tx.send(request(7.0)).unwrap();
+        let mut batcher = MicroBatcher::new(rx, 8, Arc::clone(&depth));
+        admit(&tx, &depth, request(7.0));
+        // The sender stays alive: only a timer could delay the return.
         let batch = batcher.next_batch().expect("batch");
-        assert_eq!(batch.len(), 1, "deadline must flush a partial batch");
-        // Keep the sender alive to this point so disconnect wasn't the cause.
+        assert_eq!(batch.len(), 1);
+        assert_eq!(depth.load(Ordering::Relaxed), 0);
         drop(tx);
+    }
+
+    #[test]
+    fn drain_takes_everything_queued_up_to_max_batch() {
+        let (tx, rx) = mpsc::sync_channel(16);
+        let depth = Arc::new(AtomicUsize::new(0));
+        let mut batcher = MicroBatcher::new(rx, 3, Arc::clone(&depth));
+        for i in 0..5 {
+            admit(&tx, &depth, request(i as f32));
+        }
+        let batch = batcher.next_batch().expect("batch");
+        let inputs: Vec<f32> = batch.iter().map(|r| r.input[0]).collect();
+        assert_eq!(inputs, vec![0.0, 1.0, 2.0], "a full batch, in arrival order");
+        assert_eq!(depth.load(Ordering::Relaxed), 2);
+        let batch = batcher.next_batch().expect("remainder");
+        assert_eq!(batch.len(), 2, "the drain takes what is queued, not max_batch");
+        assert_eq!(depth.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn version_change_ends_the_batch_and_opens_the_next() {
+        let snn = crate::inflight_tests::served_network(3);
+        let registry = ModelRegistry::new(
+            vec![
+                ModelSpec::new("a", Arc::clone(&snn), vec![1, 28, 28]),
+                ModelSpec::new("b", snn, vec![1, 28, 28]),
+            ],
+            None,
+            Duration::from_secs(1),
+        )
+        .unwrap();
+        let leased = |model: u32, v: f32| {
+            let (entry, version) = registry.resolve(Some(model)).expect("registered model");
+            Request { lease: Some(Lease::acquire(&entry, &version).unwrap()), ..request(v) }
+        };
+
+        let (tx, rx) = mpsc::sync_channel(16);
+        let depth = Arc::new(AtomicUsize::new(0));
+        let mut batcher = MicroBatcher::new(rx, 8, Arc::clone(&depth));
+        admit(&tx, &depth, leased(0, 0.0));
+        admit(&tx, &depth, leased(0, 1.0));
+        admit(&tx, &depth, leased(1, 2.0));
+        admit(&tx, &depth, leased(1, 3.0));
+        admit(&tx, &depth, leased(0, 4.0));
+
+        let inputs = |batch: Vec<Request>| batch.iter().map(|r| r.input[0]).collect::<Vec<_>>();
+        assert_eq!(inputs(batcher.next_batch().unwrap()), vec![0.0, 1.0]);
+        // The mismatched request was popped and carried: the gauge counts
+        // only what is still in the queue.
+        assert_eq!(depth.load(Ordering::Relaxed), 2);
+        assert_eq!(inputs(batcher.next_batch().unwrap()), vec![2.0, 3.0], "the carry opens");
+        assert_eq!(depth.load(Ordering::Relaxed), 0);
+        drop(tx);
+        assert_eq!(inputs(batcher.next_batch().unwrap()), vec![4.0]);
+        assert!(batcher.next_batch().is_none());
+        assert_eq!(depth.load(Ordering::Relaxed), 0);
     }
 
     #[test]
     fn drains_queue_after_disconnect_then_stops() {
         let (tx, rx) = mpsc::sync_channel(16);
         let depth = Arc::new(AtomicUsize::new(0));
-        let mut batcher = MicroBatcher::new(rx, 2, Duration::from_millis(5), Arc::clone(&depth));
+        let mut batcher = MicroBatcher::new(rx, 2, Arc::clone(&depth));
         for i in 0..3 {
-            depth.fetch_add(1, Ordering::Relaxed);
-            tx.send(request(i as f32)).unwrap();
+            admit(&tx, &depth, request(i as f32));
         }
         drop(tx);
         assert_eq!(batcher.next_batch().expect("first").len(), 2);

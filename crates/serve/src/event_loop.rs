@@ -16,9 +16,9 @@
 //!   walks complete frames out of it (v1 and v2 interleave freely), and
 //!   replies are encoded into a per-connection output buffer that flushes
 //!   as far as `EAGAIN` allows, finishing under `EPOLLOUT`;
-//! - its **wakeup pipe** — workers finish a batch, push completions onto
-//!   the owning loop's queue ([`LoopShared::complete`]) and write one byte
-//!   to wake it;
+//! - its **wakeup pipe** — workers finish a batch, push its completions
+//!   onto the owning loop's queue under one lock
+//!   ([`LoopShared::complete_all`]) and write one byte to wake it;
 //! - (loop 0) the **listener**.
 //!
 //! ## Multiplexing and backpressure
@@ -120,6 +120,8 @@ pub(crate) struct LoopShared {
     completions: Mutex<Vec<Completion>>,
     inbound: Mutex<Vec<TcpStream>>,
     wake_tx: UnixStream,
+    #[cfg(test)]
+    pub(crate) hooks: crate::inflight_tests::Hooks,
 }
 
 impl LoopShared {
@@ -129,10 +131,11 @@ impl LoopShared {
         let _ = (&self.wake_tx).write(&[1u8]);
     }
 
-    /// Queues a finished reply for the owning loop and wakes it.
-    pub(crate) fn complete(&self, completion: Completion) {
+    /// Queues a batch's finished replies for the owning loop under one lock
+    /// and wakes it once, leaving `done` empty.
+    pub(crate) fn complete_all(&self, done: &mut Vec<Completion>) {
         if let Ok(mut q) = self.completions.lock() {
-            q.push(completion);
+            q.append(done);
         }
         self.wake();
     }
@@ -146,6 +149,7 @@ impl LoopShared {
             completions: Mutex::new(Vec::new()),
             inbound: Mutex::new(Vec::new()),
             wake_tx,
+            hooks: Default::default(),
         })
     }
 
@@ -280,6 +284,8 @@ pub(crate) fn spawn(
             completions: Mutex::new(Vec::new()),
             inbound: Mutex::new(Vec::new()),
             wake_tx,
+            #[cfg(test)]
+            hooks: Default::default(),
         }));
         wake_rxs.push(wake_rx);
     }
@@ -606,6 +612,8 @@ impl EventLoop {
             match conn.stream.read(&mut chunk) {
                 Ok(0) => {
                     conn.read_closed = true;
+                    #[cfg(test)]
+                    self.shared.hooks.eofs.fetch_add(1, Ordering::Relaxed);
                     break;
                 }
                 Ok(n) => {
@@ -773,7 +781,7 @@ impl EventLoop {
         };
         let id = if tele { crate::next_request_id() } else { 0 };
         let enqueued = Instant::now();
-        // Count before sending so the batcher's decrement can never
+        // Count before sending so a worker's decrement can never
         // observe the admission before the gauge does.
         let occupied = self.depth.fetch_add(1, Ordering::Relaxed) + 1;
         let req = Request {

@@ -23,24 +23,25 @@
 //!    ([`protocol`]) and admits the request to a **bounded queue**. A full
 //!    queue answers [`Status::Busy`] immediately — explicit backpressure
 //!    instead of unbounded buffering.
-//! 2. The **micro-batcher** collects admitted requests into a batch,
-//!    flushing when `max_batch` requests arrived or `max_delay_us` elapsed
-//!    since the first — whichever comes first.
-//! 3. A **worker** packs the batch into a `[B, …]` tensor and drives
+//! 2. A free **worker** pulls straight from that queue:
+//!    it blocks for the first request, then takes whatever else is already
+//!    queued, up to `max_batch`. No timer holds a lone request back, and
+//!    batches grow only while every worker is busy.
+//! 3. The worker packs the batch into a `[B, …]` tensor and drives
 //!    [`SpikingNetwork::infer_batch_into`]: every reply is bit-identical
 //!    to `SpikingNetwork::infer_reference` — at any `QSNC_SIMD` level the
 //!    integer kernels dispatch to (`qsnc_tensor::simd`) — and steady-state
 //!    serving at a warm batch size performs zero fresh scratch allocations
 //!    (workers are persistent threads, so the `qsnc_tensor::scratch` arena
 //!    stays warm).
-//! 4. The result returns to the owning loop's completion queue plus a
-//!    wakeup byte; the loop encodes the logits + argmax frame, echoing the
-//!    request's tag.
+//! 4. The batch's results return to each owning loop's completion queue
+//!    under one lock with one wakeup byte per loop; the loop encodes the
+//!    logits + argmax frame, echoing the request's tag.
 //!
 //! [`Server::shutdown`] drains: accepting stops, no new frames are
 //! admitted, every request already admitted (including tagged in-flight
 //! pipelines) is batched, inferred, answered, and flushed, and only then
-//! do the batcher and workers exit (the admin listener, when enabled,
+//! do the workers exit (the admin listener, when enabled,
 //! goes down last so `/metrics` stays scrapeable through the drain).
 //!
 //! ## Multi-model serving and hot swap
@@ -89,6 +90,8 @@ pub mod protocol;
 pub mod registry;
 
 mod event_loop;
+#[cfg(test)]
+mod inflight_tests;
 mod sys;
 
 #[cfg(not(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64"))))]
@@ -106,7 +109,7 @@ use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -115,11 +118,9 @@ use std::time::{Duration, Instant};
 /// `from_env` layers the `QSNC_SERVE_*` environment overrides on top.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Largest batch a worker runs at once (`QSNC_SERVE_MAX_BATCH`).
+    /// Largest batch a worker takes from the queue at once
+    /// (`QSNC_SERVE_MAX_BATCH`).
     pub max_batch: usize,
-    /// Longest a lone request waits for batch-mates, in microseconds
-    /// (`QSNC_SERVE_MAX_DELAY_US`).
-    pub max_delay_us: u64,
     /// Bounded request-queue capacity; a full queue replies
     /// [`Status::Busy`].
     pub queue_cap: usize,
@@ -169,7 +170,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             max_batch: 8,
-            max_delay_us: 200,
             queue_cap: 64,
             workers: 1,
             loops: 1,
@@ -185,16 +185,13 @@ impl Default for ServeConfig {
 
 impl ServeConfig {
     /// Default config with the `QSNC_SERVE_*` environment overrides
-    /// applied (invalid values are ignored): `MAX_BATCH`, `MAX_DELAY_US`,
-    /// `LOOPS`, `MAX_INFLIGHT_PER_CONN`, `MAX_CONNS`,
-    /// `ADMIN_ADDR`, `SLOW_US`, `MODEL_QUOTA`, `SWAP_DRAIN_MS`.
+    /// applied (invalid values are ignored): `MAX_BATCH`, `LOOPS`,
+    /// `MAX_INFLIGHT_PER_CONN`, `MAX_CONNS`, `ADMIN_ADDR`, `SLOW_US`,
+    /// `MODEL_QUOTA`, `SWAP_DRAIN_MS`.
     pub fn from_env() -> Self {
         let mut config = ServeConfig::default();
         if let Some(v) = env_parse("QSNC_SERVE_MAX_BATCH") {
             config.max_batch = 1.max(v as usize);
-        }
-        if let Some(v) = env_parse("QSNC_SERVE_MAX_DELAY_US") {
-            config.max_delay_us = v;
         }
         if let Some(v) = env_parse("QSNC_SERVE_LOOPS") {
             config.loops = 1.max(v as usize);
@@ -253,10 +250,8 @@ pub struct Server {
     addr: SocketAddr,
     admin_addr: Option<SocketAddr>,
     running: Arc<AtomicBool>,
-    req_tx: Option<SyncSender<Request>>,
     loops: Vec<JoinHandle<()>>,
     shareds: Vec<Arc<LoopShared>>,
-    batcher: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
     admin: Option<JoinHandle<()>>,
     registry: Arc<ModelRegistry>,
@@ -456,33 +451,15 @@ impl Server {
         };
         let depth = Arc::new(AtomicUsize::new(0));
         let (req_tx, req_rx) = mpsc::sync_channel::<Request>(config.queue_cap);
-        // Rendezvous hand-off to the workers: the batcher blocks until one
-        // is free, which is what lets the bounded request queue fill and
-        // the Busy backpressure engage under overload.
-        let (work_tx, work_rx) = mpsc::sync_channel::<Vec<Request>>(0);
-        let work_rx = Arc::new(Mutex::new(work_rx));
-
-        let mut micro = MicroBatcher::new(
-            req_rx,
-            config.max_batch,
-            Duration::from_micros(config.max_delay_us),
-            Arc::clone(&depth),
-        );
-        let batcher = std::thread::spawn(move || {
-            while let Some(batch) = micro.next_batch() {
-                qsnc_telemetry::counter_add("serve.batches", 1);
-                if work_tx.send(batch).is_err() {
-                    break;
-                }
-            }
-            // work_tx drops here: workers drain their queue and exit.
-        });
-
+        // Workers pull from the bounded queue only when free, so under
+        // overload it fills and admission answers Busy.
+        let micro =
+            Arc::new(Mutex::new(MicroBatcher::new(req_rx, config.max_batch, Arc::clone(&depth))));
         let workers = (0..config.workers)
             .map(|_| {
-                let rx = Arc::clone(&work_rx);
+                let micro = Arc::clone(&micro);
                 let max_batch = config.max_batch;
-                std::thread::spawn(move || worker_loop(max_batch, &rx))
+                std::thread::spawn(move || worker_loop(max_batch, &micro))
             })
             .collect();
 
@@ -497,7 +474,7 @@ impl Server {
             config.loops,
             loop_cfg,
             Arc::clone(&running),
-            req_tx.clone(),
+            req_tx,
             Arc::clone(&depth),
         )?;
 
@@ -505,10 +482,8 @@ impl Server {
             addr: local,
             admin_addr,
             running,
-            req_tx: Some(req_tx),
             loops,
             shareds,
-            batcher: Some(batcher),
             workers,
             admin: admin_handle,
             registry,
@@ -607,12 +582,8 @@ impl Server {
             let _ = h.join();
         }
         self.shareds.clear();
-        // All producers are gone: the batcher drains the queue, flushes the
-        // final partial batch, and hangs up on the workers.
-        drop(self.req_tx.take());
-        if let Some(h) = self.batcher.take() {
-            let _ = h.join();
-        }
+        // The loops held the only queue senders: the workers drain what is
+        // still queued, then find the queue closed and exit.
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
@@ -644,18 +615,21 @@ impl std::fmt::Debug for Server {
     }
 }
 
-fn worker_loop(max_batch: usize, work_rx: &Mutex<Receiver<Vec<Request>>>) {
+fn worker_loop(max_batch: usize, micro: &Mutex<MicroBatcher>) {
     // One cached input tensor per (input shape, batch size): after each
     // combination has been seen once, packing + inference allocate
     // nothing. Keyed by shape because different models can differ in dims.
     let mut tensors: HashMap<Vec<usize>, Vec<Option<Tensor>>> = HashMap::new();
     let mut out: Vec<f32> = Vec::new();
+    // A batch's completions grouped by owning loop, so each loop takes
+    // them under one lock with one wakeup.
+    let mut by_loop: Vec<(Arc<LoopShared>, Vec<Completion>)> = Vec::new();
     loop {
-        let batch = match work_rx.lock() {
-            Ok(rx) => rx.recv(),
-            Err(_) => break, // a sibling worker panicked
+        // The lock is held only while taking the batch, not while running
+        // it; a poisoned lock means a sibling worker panicked.
+        let Some(batch) = micro.lock().ok().and_then(|mut micro| micro.next_batch()) else {
+            break;
         };
-        let Ok(batch) = batch else { break };
         let b = batch.len();
         debug_assert!(b >= 1 && b <= max_batch, "batcher produced batch of {b}");
         // The batcher keeps batches version-homogeneous, so the opener's
@@ -666,9 +640,7 @@ fn worker_loop(max_batch: usize, work_rx: &Mutex<Receiver<Vec<Request>>>) {
         };
         let input_len = version.input_len;
         let tele = qsnc_telemetry::enabled();
-        // Queue time ends when the worker takes the batch over: everything
-        // between admission and here (queue wait + batch forming) is the
-        // queue stage from the request's point of view.
+        // Queue time ends when the worker has taken the batch.
         let picked_up = tele.then(Instant::now);
         if !tensors.contains_key(&version.input_dims) {
             tensors
@@ -705,7 +677,7 @@ fn worker_loop(max_batch: usize, work_rx: &Mutex<Receiver<Vec<Request>>>) {
             let reply = WorkerReply { argmax, logits, queue_us, infer_us, batch: b as u32 };
             // The loop drops the completion itself if the connection died
             // first (generation mismatch).
-            req.shared.complete(Completion {
+            let completion = Completion {
                 conn: req.conn,
                 generation: req.generation,
                 tag: req.tag,
@@ -713,7 +685,19 @@ fn worker_loop(max_batch: usize, work_rx: &Mutex<Receiver<Vec<Request>>>) {
                 enqueued: req.enqueued,
                 decode_us: req.decode_us,
                 id: req.id,
-            });
+            };
+            // `req` (and with it the lease) drops at the end of this
+            // iteration, before the reply is handed over, so the client can
+            // never see its reply while the quota still counts the request.
+            match by_loop.iter_mut().find(|(shared, _)| Arc::ptr_eq(shared, &req.shared)) {
+                Some((_, done)) => done.push(completion),
+                None => by_loop.push((req.shared, vec![completion])),
+            }
+        }
+        for (shared, done) in &mut by_loop {
+            if !done.is_empty() {
+                shared.complete_all(done);
+            }
         }
     }
 }

@@ -90,7 +90,7 @@ fn replies_bit_identical_to_reference_under_concurrency() {
         Arc::clone(&snn),
         &INPUT_DIMS,
         "127.0.0.1:0",
-        ServeConfig { max_batch: 4, max_delay_us: 500, ..ServeConfig::default() },
+        ServeConfig { max_batch: 4, ..ServeConfig::default() },
     )
     .expect("spawn");
 
@@ -147,7 +147,7 @@ fn sequential_singles_are_bit_identical_too() {
         Arc::clone(&snn),
         &INPUT_DIMS,
         "127.0.0.1:0",
-        ServeConfig { max_batch: 8, max_delay_us: 100, ..ServeConfig::default() },
+        ServeConfig { max_batch: 8, ..ServeConfig::default() },
     )
     .expect("spawn");
     let mut stream = connect(&server);
@@ -282,7 +282,7 @@ fn overload_answers_ok_or_busy_and_recovers() {
         Arc::clone(&snn),
         &INPUT_DIMS,
         "127.0.0.1:0",
-        ServeConfig { max_batch: 2, max_delay_us: 50, queue_cap: 2, workers: 1, ..ServeConfig::default() },
+        ServeConfig { max_batch: 2, queue_cap: 2, workers: 1, ..ServeConfig::default() },
     )
     .expect("spawn");
 

@@ -1,29 +1,26 @@
 //! Protocol-v2 multiplexing tests against the epoll event loops.
 //!
 //! Every test drives real `TcpStream` clients that pipeline **tagged**
-//! requests — many in flight on one connection — and then checks the three
-//! properties the multiplexed path must never lose:
+//! requests — many in flight on one connection — and checks that each
+//! reply, matched to its request by tag regardless of arrival order,
+//! carries logits bit-identical to the float oracle
+//! [`SpikingNetwork::infer_reference`], and that interleaved v1 frames keep
+//! their lockstep order.
 //!
-//! 1. **Bit-identity**: each tagged reply, matched to its request by tag
-//!    regardless of arrival order, carries logits bit-identical to the
-//!    float oracle [`SpikingNetwork::infer_reference`].
-//! 2. **Protocol discipline**: duplicate live tags, oversized frames mid
-//!    pipeline, interleaved v1 frames, and half-closed peers get error
-//!    replies or an orderly close — never a panicked loop thread.
-//! 3. **Accounting**: the per-connection in-flight budget answers
-//!    [`Status::Busy`] with the offending tag, and graceful drain answers
-//!    every request it admitted before the listener went away.
+//! The tests that need replies held pending — duplicate live tags, the
+//! in-flight budget, oversized frames mid pipeline, half-closed peers and
+//! the drain — live in the crate's `inflight_tests` module, where they can
+//! hold the workers.
 
 use qsnc_memristor::{DeployConfig, SpikingNetwork};
 use qsnc_quant::{
     insert_signal_stages, quantize_network_weights, ActivationQuantizer, ActivationRegularizer,
     WeightQuantMethod,
 };
-use qsnc_serve::protocol::{self, Status, MAGIC, OP_INFER, VERSION_V2};
+use qsnc_serve::protocol::{self, Status};
 use qsnc_serve::{ServeConfig, Server};
 use qsnc_tensor::{Tensor, TensorRng};
 use std::collections::HashMap;
-use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
@@ -72,15 +69,6 @@ fn bits(logits: &[f32]) -> Vec<u32> {
     logits.iter().map(|v| v.to_bits()).collect()
 }
 
-/// Reads replies until the server closes the connection.
-fn read_until_eof(stream: &mut TcpStream) -> Vec<protocol::Reply> {
-    let mut replies = Vec::new();
-    while let Ok(reply) = protocol::read_reply(stream) {
-        replies.push(reply);
-    }
-    replies
-}
-
 /// The core multiplexing proof: one connection pipelines many tagged
 /// requests with distinct inputs, two single-request workers race the
 /// completions back in whatever order inference finishes, and every reply
@@ -95,7 +83,6 @@ fn pipelined_tagged_replies_are_bit_identical_in_any_order() {
         ServeConfig {
             workers: 2,
             max_batch: 1,
-            max_delay_us: 0,
             max_inflight_per_conn: 64,
             ..ServeConfig::default()
         },
@@ -129,51 +116,6 @@ fn pipelined_tagged_replies_are_bit_identical_in_any_order() {
             .0;
         assert_eq!(reply.argmax as usize, want_argmax, "tag {tag}");
     }
-    drop(stream);
-    server.shutdown();
-}
-
-/// A tag may not be live twice on one connection: the second use is
-/// answered [`Status::BadRequest`] (carrying the tag), the first still
-/// completes, and once it has replied the tag is free for reuse.
-#[test]
-fn duplicate_live_tag_is_rejected_then_reusable() {
-    let snn = served_network(43);
-    let server = Server::spawn(
-        Arc::clone(&snn),
-        &INPUT_DIMS,
-        "127.0.0.1:0",
-        // A wide batch window keeps the first request in flight long
-        // enough that the duplicate is deterministically still live.
-        ServeConfig {
-            max_batch: 32,
-            max_delay_us: 100_000,
-            ..ServeConfig::default()
-        },
-    )
-    .expect("spawn");
-
-    let input = example(4300);
-    let mut stream = connect(&server);
-    protocol::write_request_tagged(&mut stream, 9, &input).expect("first");
-    protocol::write_request_tagged(&mut stream, 9, &input).expect("duplicate");
-
-    // The duplicate bounces immediately; the original completes after the
-    // batch window.
-    let first = protocol::read_reply(&mut stream).expect("reply 1");
-    assert_eq!(first.status, Status::BadRequest, "{}", first.message);
-    assert_eq!(first.tag, Some(9));
-    assert!(first.message.contains("tag"), "got {:?}", first.message);
-    let second = protocol::read_reply(&mut stream).expect("reply 2");
-    assert_eq!(second.status, Status::Ok, "{}", second.message);
-    assert_eq!(second.tag, Some(9));
-    assert_eq!(bits(&second.logits), bits(&reference_logits(&snn, &input)));
-
-    // The tag is dead now — reusing it is fine.
-    protocol::write_request_tagged(&mut stream, 9, &input).expect("reuse");
-    let third = protocol::read_reply(&mut stream).expect("reply 3");
-    assert_eq!(third.status, Status::Ok, "{}", third.message);
-    assert_eq!(third.tag, Some(9));
     drop(stream);
     server.shutdown();
 }
@@ -224,200 +166,3 @@ fn v1_and_v2_frames_interleave_on_one_connection() {
     server.shutdown();
 }
 
-/// An oversized declared payload arriving mid-pipeline is unframeable: the
-/// server must still answer every request admitted before it, send one
-/// [`Status::BadRequest`] **tagged with the offending request's tag** (a
-/// bare drop would leave the client unable to tell which pipelined request
-/// died), and close — without panicking a loop.
-#[test]
-fn oversized_tagged_frame_mid_pipeline_errors_and_closes() {
-    let snn = served_network(53);
-    let server = Server::spawn(
-        Arc::clone(&snn),
-        &INPUT_DIMS,
-        "127.0.0.1:0",
-        ServeConfig {
-            max_batch: 32,
-            max_delay_us: 100_000,
-            ..ServeConfig::default()
-        },
-    )
-    .expect("spawn");
-
-    let mut stream = connect(&server);
-    let inputs: Vec<Vec<f32>> = (0..3).map(|i| example(5300 + i)).collect();
-    for (tag, input) in inputs.iter().enumerate() {
-        protocol::write_request_tagged(&mut stream, tag as u32, input).expect("write");
-    }
-    // A v2 header declaring a payload over the frame cap.
-    let mut poison = Vec::new();
-    poison.extend_from_slice(&MAGIC.to_le_bytes());
-    poison.push(VERSION_V2);
-    poison.push(OP_INFER);
-    poison.extend_from_slice(&77u32.to_le_bytes()); // tag
-    poison.extend_from_slice(&u32::MAX.to_le_bytes()); // declared length
-    stream.write_all(&poison).expect("poison frame");
-
-    let replies = read_until_eof(&mut stream);
-    assert_eq!(replies.len(), 4, "3 admitted replies + 1 fatal error");
-    let fatal: Vec<_> = replies.iter().filter(|r| r.status == Status::BadRequest).collect();
-    assert_eq!(fatal.len(), 1);
-    assert!(fatal[0].message.contains("cap"), "got {:?}", fatal[0].message);
-    assert_eq!(
-        fatal[0].tag,
-        Some(77),
-        "the rejection must be attributed to the oversized frame's tag"
-    );
-    let mut ok_tags: Vec<u32> = replies
-        .iter()
-        .filter(|r| r.status == Status::Ok)
-        .map(|r| r.tag.expect("tagged"))
-        .collect();
-    ok_tags.sort_unstable();
-    assert_eq!(ok_tags, vec![0, 1, 2], "every admitted request must still be answered");
-    for reply in replies.iter().filter(|r| r.status == Status::Ok) {
-        let input = &inputs[reply.tag.unwrap() as usize];
-        assert_eq!(bits(&reply.logits), bits(&reference_logits(&snn, input)));
-    }
-    drop(stream);
-    server.shutdown();
-}
-
-/// A client that half-closes (shutdown-for-write) with replies pending
-/// must still receive all of them before the server closes its side.
-#[test]
-fn half_close_with_replies_pending_still_answers_all() {
-    let snn = served_network(59);
-    let server = Server::spawn(
-        Arc::clone(&snn),
-        &INPUT_DIMS,
-        "127.0.0.1:0",
-        ServeConfig {
-            max_batch: 32,
-            max_delay_us: 100_000,
-            ..ServeConfig::default()
-        },
-    )
-    .expect("spawn");
-
-    let mut stream = connect(&server);
-    let inputs: Vec<Vec<f32>> = (0..5).map(|i| example(5900 + i)).collect();
-    for (tag, input) in inputs.iter().enumerate() {
-        protocol::write_request_tagged(&mut stream, tag as u32, input).expect("write");
-    }
-    stream.shutdown(std::net::Shutdown::Write).expect("half close");
-
-    let replies = read_until_eof(&mut stream);
-    assert_eq!(replies.len(), 5, "every pending reply must arrive after half-close");
-    let mut tags: Vec<u32> = Vec::new();
-    for reply in &replies {
-        assert_eq!(reply.status, Status::Ok, "{}", reply.message);
-        let tag = reply.tag.expect("tagged");
-        tags.push(tag);
-        assert_eq!(bits(&reply.logits), bits(&reference_logits(&snn, &inputs[tag as usize])));
-    }
-    tags.sort_unstable();
-    assert_eq!(tags, vec![0, 1, 2, 3, 4]);
-    drop(stream);
-    server.shutdown();
-}
-
-/// The per-connection in-flight budget sheds load with tagged
-/// [`Status::Busy`] replies — and those bounce back *before* the earlier
-/// admitted requests complete, which is exactly the out-of-order delivery
-/// the tag field exists for.
-#[test]
-fn inflight_budget_answers_busy_with_the_offending_tag() {
-    let snn = served_network(61);
-    let server = Server::spawn(
-        Arc::clone(&snn),
-        &INPUT_DIMS,
-        "127.0.0.1:0",
-        ServeConfig {
-            max_inflight_per_conn: 2,
-            max_batch: 32,
-            max_delay_us: 200_000,
-            queue_cap: 64,
-            ..ServeConfig::default()
-        },
-    )
-    .expect("spawn");
-
-    let input = example(6100);
-    let mut stream = connect(&server);
-    for tag in 0..8u32 {
-        protocol::write_request_tagged(&mut stream, tag, &input).expect("write");
-    }
-
-    let mut order = Vec::new();
-    for _ in 0..8 {
-        let reply = protocol::read_reply(&mut stream).expect("reply");
-        order.push((reply.tag.expect("tagged"), reply.status));
-    }
-    let busy: Vec<u32> =
-        order.iter().filter(|(_, s)| *s == Status::Busy).map(|(t, _)| *t).collect();
-    let ok: Vec<u32> = order.iter().filter(|(_, s)| *s == Status::Ok).map(|(t, _)| *t).collect();
-    assert_eq!(ok, vec![0, 1], "the first two requests fill the budget");
-    assert_eq!(busy, vec![2, 3, 4, 5, 6, 7], "the rest bounce with their tags");
-    // Out-of-order on the wire: the Busy for tag 7 (sent last) must arrive
-    // before the Ok for tag 0 (sent first).
-    let pos = |tag: u32| order.iter().position(|(t, _)| *t == tag).unwrap();
-    assert!(pos(7) < pos(0), "Busy replies overtake pending work: {order:?}");
-
-    // Load shedding, not failure: the same connection still works.
-    protocol::write_request_tagged(&mut stream, 99, &input).expect("after shed");
-    let reply = protocol::read_reply(&mut stream).expect("reply");
-    assert_eq!(reply.status, Status::Ok, "{}", reply.message);
-    assert_eq!(reply.tag, Some(99));
-    drop(stream);
-    server.shutdown();
-}
-
-/// Graceful drain answers every tagged request admitted before shutdown,
-/// then closes the connection.
-#[test]
-fn drain_answers_every_admitted_tagged_request() {
-    let snn = served_network(67);
-    let server = Server::spawn(
-        Arc::clone(&snn),
-        &INPUT_DIMS,
-        "127.0.0.1:0",
-        // A long batch window guarantees the requests are still queued
-        // when the drain begins.
-        ServeConfig {
-            max_batch: 32,
-            max_delay_us: 300_000,
-            ..ServeConfig::default()
-        },
-    )
-    .expect("spawn");
-
-    let inputs: Vec<Vec<f32>> = (0..6).map(|i| example(6700 + i)).collect();
-    let mut stream = connect(&server);
-    for (tag, input) in inputs.iter().enumerate() {
-        protocol::write_request_tagged(&mut stream, tag as u32, input).expect("write");
-    }
-
-    let snn_reader = Arc::clone(&snn);
-    let inputs_reader = inputs.clone();
-    let reader = std::thread::spawn(move || {
-        let replies = read_until_eof(&mut stream);
-        assert_eq!(replies.len(), 6, "drain must answer every admitted request");
-        let mut tags: Vec<u32> = Vec::new();
-        for reply in &replies {
-            assert_eq!(reply.status, Status::Ok, "{}", reply.message);
-            let tag = reply.tag.expect("tagged");
-            tags.push(tag);
-            let expected = reference_logits(&snn_reader, &inputs_reader[tag as usize]);
-            assert_eq!(bits(&reply.logits), bits(&expected), "tag {tag}");
-        }
-        tags.sort_unstable();
-        assert_eq!(tags, vec![0, 1, 2, 3, 4, 5]);
-    });
-
-    // Let the loop admit everything into the batcher, then drain while
-    // the replies are still pending.
-    std::thread::sleep(Duration::from_millis(100));
-    server.shutdown();
-    reader.join().expect("reader thread");
-}

@@ -52,7 +52,7 @@ fn serve_round(snn: &Arc<SpikingNetwork>, cap: Option<SimdLevel>, shots: u64) ->
         Arc::clone(snn),
         &INPUT_DIMS,
         "127.0.0.1:0",
-        ServeConfig { max_batch: 4, max_delay_us: 500, ..ServeConfig::default() },
+        ServeConfig { max_batch: 4, ..ServeConfig::default() },
     )
     .expect("spawn");
     let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
