@@ -17,9 +17,20 @@
 //! requant thresholds are found by binary search over the *identical* float
 //! expressions the pipeline evaluates, so each neuron's spike count agrees
 //! on every possible accumulator value; and count → activation round trips
-//! (`round((c/s)·s) == c`) plus the monotone max-pool commute exactly. The
-//! proptests in `tests/engine_bit_identity.rs` assert this across
-//! `M, N ∈ {2..8}` including the IFC saturation boundary.
+//! (`round((c/s)·s) == c`) plus the monotone max-pool commute exactly.
+//!
+//! The same monotonicity lets a counter stage followed by a max-pool pool
+//! its `i32` accumulators *before* the IFC and threshold only the pooled
+//! neurons. A pool window lies inside one channel, and a channel's count
+//! `count(y) = #{thresholds ≤ y}` is non-decreasing in `y` because its
+//! threshold row ascends, so `max_i count(y_i) = count(max_i y_i)`. This
+//! holds for the rectifying IFC (`convert(max(z, 0))`) and for the
+//! non-rectifying round-clamp counter alike — both are monotone in `z`,
+//! and `z` is monotone in `y`. The engine applies it as a peephole over its
+//! stage list at run time, so the compiled stages (and the `.qsnca` bytes)
+//! are unchanged. The proptests in `tests/engine_bit_identity.rs` assert
+//! all of this across `M, N ∈ {2..8}` including the IFC saturation
+//! boundary, on LeNet and on overlapping and odd-map pools.
 //!
 //! The engine is built only when the whole network is expressible in this
 //! integer form — conv/FC/max-pool/flatten stages, ideal (noise-free)
@@ -261,10 +272,25 @@ impl IntEngine {
             *count = self.input_quant.spike_count(v) as i32;
         }
 
-        for stage in &self.stages {
+        let mut stages = self.stages.iter().peekable();
+        while let Some(stage) = stages.next() {
             match stage {
                 EngineStage::Syn(syn) => {
-                    let next = self.run_synaptic(syn, batch, &cur, &mut shape, out, tele);
+                    // Peephole: a counter stage feeding a max-pool pools its
+                    // accumulators before thresholding (see "Bit-exactness"),
+                    // so the pool stage is consumed here.
+                    let pool = match (&syn.out, stages.peek()) {
+                        (
+                            EngineOut::Counts { .. },
+                            Some(EngineStage::MaxPool { window, stride }),
+                        ) => {
+                            let pool = (*window, *stride);
+                            stages.next();
+                            Some(pool)
+                        }
+                        _ => None,
+                    };
+                    let next = self.run_synaptic(syn, pool, batch, &cur, &mut shape, out, tele);
                     scratch::put_i32(cur);
                     match next {
                         Some(counts) => cur = counts,
@@ -273,36 +299,12 @@ impl IntEngine {
                         None => return shape,
                     }
                 }
+                // A max-pool not fused into a counter stage above.
                 EngineStage::MaxPool { window, stride } => {
                     let t0 = tele.then(Instant::now);
-                    let spec = qsnc_tensor::Conv2dSpec::new(*window, *stride, 0);
-                    let (oh, ow) = (spec.output_size(shape.h), spec.output_size(shape.w));
-                    let (in_len, out_len) = (shape.len(), shape.c * oh * ow);
-                    let mut next = scratch::take_i32(batch * out_len);
-                    for b in 0..batch {
-                        let image = &cur[b * in_len..(b + 1) * in_len];
-                        let pooled = &mut next[b * out_len..(b + 1) * out_len];
-                        for ch in 0..shape.c {
-                            let src = &image[ch * shape.h * shape.w..(ch + 1) * shape.h * shape.w];
-                            let dst = &mut pooled[ch * oh * ow..(ch + 1) * oh * ow];
-                            for oy in 0..oh {
-                                for ox in 0..ow {
-                                    let mut best = i32::MIN;
-                                    for ky in 0..*window {
-                                        let row = &src[(oy * stride + ky) * shape.w..];
-                                        for kx in 0..*window {
-                                            best = best.max(row[ox * stride + kx]);
-                                        }
-                                    }
-                                    dst[oy * ow + ox] = best;
-                                }
-                            }
-                        }
-                    }
+                    let next = max_pool(&cur, batch, &mut shape, *window, *stride);
                     scratch::put_i32(cur);
                     cur = next;
-                    shape.h = oh;
-                    shape.w = ow;
                     stage_us("snc.engine.stage.pool.us", t0);
                 }
                 EngineStage::Flatten => {
@@ -334,12 +336,17 @@ impl IntEngine {
 
     /// Runs one synaptic stage over a batch. Returns the output counts for
     /// interior stages, or `None` after writing the analog readout into
-    /// `out`. With `tele` set, the synaptic multiply and the IFC/analog
-    /// readout record separately into the `snc.engine.stage.*.us` quantile
-    /// sketches, which is how `/metrics` attributes infer time per stage.
+    /// `out`. `pool` is the `(window, stride)` of a max-pool fused after a
+    /// counter stage: the accumulators are pooled before the IFC runs, so
+    /// only the pooled neurons are thresholded. With `tele` set, the
+    /// synaptic multiply, the fused pool and the IFC/analog readout record
+    /// separately into the `snc.engine.stage.*.us` quantile sketches, which
+    /// is how `/metrics` attributes infer time per stage.
+    #[allow(clippy::too_many_arguments)] // flat per-call state from the single stage loop
     fn run_synaptic(
         &self,
         syn: &EngineSyn,
+        pool: Option<(usize, usize)>,
         batch: usize,
         cur: &[i32],
         shape: &mut SignalShape,
@@ -353,7 +360,7 @@ impl IntEngine {
         // streams whole pixel rows; FC folds the whole batch into one `igemm`
         // with `M = batch` (its `[batch, out_dim]` row-major output is
         // exactly the concatenated per-example layout).
-        let (pix, out_dim, acc) = match syn.kind {
+        let (mut pix, out_dim, mut acc) = match syn.kind {
             SynKind::Conv { spec, in_c, out_c } => {
                 debug_assert_eq!(shape.c, in_c, "conv input channel mismatch");
                 let (oh, ow) = (spec.output_size(shape.h), spec.output_size(shape.w));
@@ -361,8 +368,8 @@ impl IntEngine {
                 let in_len = shape.len();
                 let mut acc = scratch::take_i32(batch * out_c * pix);
                 for b in 0..batch {
-                    // igemm_conv lowers each example as im2row + dot or
-                    // im2col + axpy, chosen from the SIMD level alone.
+                    // igemm_conv picks each example's lowering from the
+                    // SIMD level and the image's i16 range.
                     igemm_conv(
                         &cur[b * in_len..(b + 1) * in_len],
                         in_c,
@@ -384,14 +391,21 @@ impl IntEngine {
             }
         };
 
-        let stride = out_dim * pix;
-        let t0 = stage_us(
+        let mut t0 = stage_us(
             match syn.kind {
                 SynKind::Conv { .. } => "snc.engine.stage.conv.us",
                 SynKind::Fc { .. } => "snc.engine.stage.fc.us",
             },
             t0,
         );
+        if let Some((window, pool_stride)) = pool {
+            let pooled = max_pool(&acc, batch, shape, window, pool_stride);
+            scratch::put_i32(acc);
+            acc = pooled;
+            pix = shape.h * shape.w;
+            t0 = stage_us("snc.engine.stage.pool.us", t0);
+        }
+        let stride = out_dim * pix;
         match &syn.out {
             EngineOut::Counts { max_level, thresholds, record, .. } => {
                 let max = *max_level as usize;
@@ -459,6 +473,39 @@ impl IntEngine {
             }
         }
     }
+}
+
+/// Max-pools a batch of `[shape.c, shape.h, shape.w]` integer maps with a
+/// `window`×`window` window at `stride` (floor mode, no padding, like the
+/// float `MaxPool2d`), returning the pooled maps in a scratch buffer and
+/// updating `shape` to the pooled geometry.
+fn max_pool(
+    src: &[i32],
+    batch: usize,
+    shape: &mut SignalShape,
+    window: usize,
+    stride: usize,
+) -> Vec<i32> {
+    let spec = qsnc_tensor::Conv2dSpec::new(window, stride, 0);
+    let (h, w) = (shape.h, shape.w);
+    let (oh, ow) = (spec.output_size(h), spec.output_size(w));
+    let mut dst = scratch::take_i32(batch * shape.c * oh * ow);
+    for (plane, pooled) in src.chunks_exact(h * w).zip(dst.chunks_exact_mut(oh * ow)) {
+        for (oy, orow) in pooled.chunks_exact_mut(ow).enumerate() {
+            orow.fill(i32::MIN);
+            for ky in 0..window {
+                let row = &plane[(oy * stride + ky) * w..(oy * stride + ky + 1) * w];
+                for kx in 0..window {
+                    for (ox, best) in orow.iter_mut().enumerate() {
+                        *best = (*best).max(row[ox * stride + kx]);
+                    }
+                }
+            }
+        }
+    }
+    shape.h = oh;
+    shape.w = ow;
+    dst
 }
 
 impl std::fmt::Debug for IntEngine {

@@ -11,17 +11,43 @@
 
 use proptest::prelude::*;
 use qsnc_memristor::{DeployConfig, SpikingNetwork};
+use qsnc_nn::layers::{Conv2d, Flatten, Linear, MaxPool2d, Relu};
 use qsnc_nn::Sequential;
 use qsnc_quant::{
     insert_signal_stages, quantize_network_weights, ActivationQuantizer, ActivationRegularizer,
     WeightQuantMethod,
 };
-use qsnc_tensor::{Tensor, TensorRng};
+use qsnc_tensor::{Conv2dSpec, Tensor, TensorRng};
 
 /// Small random LeNet quantized to `M`-bit signals / `N`-bit weights,
 /// paired with the matching deployment config.
 fn deployable_lenet(m: u32, n: u32, rng: &mut TensorRng) -> (Sequential, DeployConfig) {
     let mut net = qsnc_nn::models::lenet(0.25, 10, rng);
+    let (switch, _) = insert_signal_stages(
+        &mut net,
+        ActivationRegularizer::neuron_convergence(m),
+        0.0,
+        ActivationQuantizer::new(m),
+    );
+    switch.set_enabled(true);
+    quantize_network_weights(&mut net, n, WeightQuantMethod::Clustered);
+    (net, DeployConfig::paper(n, m))
+}
+
+/// Small conv net whose pools LeNet does not exercise: an overlapping
+/// `MaxPool(3, 2)` over a 12×12 map (floor pooling drops its last row and
+/// column) and a `MaxPool(2, 2)` over an odd 5×5 map, both fused into
+/// their conv stage's IFC by the engine. Input is `[B, 1, 14, 14]`.
+fn deployable_pool_net(m: u32, n: u32, rng: &mut TensorRng) -> (Sequential, DeployConfig) {
+    let mut net = Sequential::new();
+    net.push(Conv2d::new("conv1", 1, 4, Conv2dSpec::new(3, 1, 0), rng)); // 14 → 12
+    net.push(Relu::new());
+    net.push(MaxPool2d::new(3, 2)); // 12 → 5
+    net.push(Conv2d::new("conv2", 4, 6, Conv2dSpec::new(3, 1, 1), rng)); // 5 → 5
+    net.push(Relu::new());
+    net.push(MaxPool2d::new(2, 2)); // 5 → 2
+    net.push(Flatten::new());
+    net.push(Linear::new("fc", 6 * 2 * 2, 10, rng));
     let (switch, _) = insert_signal_stages(
         &mut net,
         ActivationRegularizer::neuron_convergence(m),
@@ -112,6 +138,38 @@ proptest! {
         let edge = 0.5 / config.input_quantizer.scale();
         let half = Tensor::from_vec(vec![edge; 28 * 28], [1, 1, 28, 28]);
         assert_bit_identical(&snn, &half)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn pool_before_ifc_bit_identical_on_overlapping_and_odd_pools(
+        m in 2u32..=8, n in 2u32..=7, seed in 0u64..10_000,
+    ) {
+        let mut rng = TensorRng::seed(seed);
+        let (net, config) = deployable_pool_net(m, n, &mut rng);
+        let snn = SpikingNetwork::compile(&net, &config, None).expect("compile");
+        prop_assert!(snn.has_fast_path());
+        let mut drng = TensorRng::seed(seed ^ 0x5eed);
+        let xs = qsnc_tensor::init::uniform([5, 1, 14, 14], 0.0, 1.0, &mut drng);
+        let first = Tensor::from_vec(xs.as_slice()[..14 * 14].to_vec(), [1, 1, 14, 14]);
+        assert_bit_identical(&snn, &first)?;
+
+        let mut batched = Vec::new();
+        prop_assert!(snn.infer_batch_into(&xs, &mut batched));
+        prop_assert_eq!(batched.len(), 5 * 10);
+        for (b, got) in batched.chunks_exact(10).enumerate() {
+            let x = Tensor::from_vec(
+                xs.as_slice()[b * 14 * 14..(b + 1) * 14 * 14].to_vec(),
+                [1, 1, 14, 14],
+            );
+            let reference = snn.infer_reference(&x);
+            for (&r, &f) in reference.iter().zip(got) {
+                prop_assert_eq!(r.to_bits(), f.to_bits(), "example {}: {} vs {}", b, r, f);
+            }
+        }
     }
 }
 

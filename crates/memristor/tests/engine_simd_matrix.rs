@@ -8,16 +8,42 @@
 //! analogue of the per-kernel proptests in `qsnc-tensor`.
 
 use qsnc_memristor::{DeployConfig, SpikingNetwork};
+use qsnc_nn::layers::{Conv2d, Flatten, Linear, MaxPool2d, Relu};
 use qsnc_nn::Sequential;
 use qsnc_quant::{
     insert_signal_stages, quantize_network_weights, ActivationQuantizer, ActivationRegularizer,
     WeightQuantMethod,
 };
-use qsnc_tensor::{parallel, simd, SimdLevel, TensorRng};
+use qsnc_tensor::{parallel, simd, Conv2dSpec, SimdLevel, Tensor, TensorRng};
 
 /// Small random LeNet quantized to `M`-bit signals / `N`-bit weights.
 fn deployable_lenet(m: u32, n: u32, rng: &mut TensorRng) -> (Sequential, DeployConfig) {
     let mut net = qsnc_nn::models::lenet(0.25, 10, rng);
+    let (switch, _) = insert_signal_stages(
+        &mut net,
+        ActivationRegularizer::neuron_convergence(m),
+        0.0,
+        ActivationQuantizer::new(m),
+    );
+    switch.set_enabled(true);
+    quantize_network_weights(&mut net, n, WeightQuantMethod::Clustered);
+    (net, DeployConfig::paper(n, m))
+}
+
+/// Small conv net with an overlapping `MaxPool(3, 2)` over a 12×12 map
+/// (floor pooling drops its last row and column) and a `MaxPool(2, 2)`
+/// over an odd 5×5 map — the pools the engine fuses into the preceding
+/// IFC beyond LeNet's 2×2 pools over even maps. Input is `[B, 1, 14, 14]`.
+fn deployable_pool_net(m: u32, n: u32, rng: &mut TensorRng) -> (Sequential, DeployConfig) {
+    let mut net = Sequential::new();
+    net.push(Conv2d::new("conv1", 1, 4, Conv2dSpec::new(3, 1, 0), rng)); // 14 → 12
+    net.push(Relu::new());
+    net.push(MaxPool2d::new(3, 2)); // 12 → 5
+    net.push(Conv2d::new("conv2", 4, 6, Conv2dSpec::new(3, 1, 1), rng)); // 5 → 5
+    net.push(Relu::new());
+    net.push(MaxPool2d::new(2, 2)); // 5 → 2
+    net.push(Flatten::new());
+    net.push(Linear::new("fc", 6 * 2 * 2, 10, rng));
     let (switch, _) = insert_signal_stages(
         &mut net,
         ActivationRegularizer::neuron_convergence(m),
@@ -131,6 +157,50 @@ fn infer_into_bit_identical_across_simd_levels() {
         assert_eq!(buf.len(), oracle.len());
         for (&r, &f) in oracle.iter().zip(buf.iter()) {
             assert_eq!(r.to_bits(), f.to_bits(), "infer_into diverged at {level:?}");
+        }
+    }
+}
+
+#[test]
+fn fused_pools_bit_identical_to_reference_across_simd_levels_and_threads() {
+    let mut rng = TensorRng::seed(31);
+    let (net, config) = deployable_pool_net(4, 4, &mut rng);
+    let snn = SpikingNetwork::compile(&net, &config, None).expect("compile");
+    assert!(snn.has_fast_path(), "the 4-bit pool net must compile");
+
+    let mut drng = TensorRng::seed(4242);
+    let xs = qsnc_tensor::init::uniform([5, 1, 14, 14], 0.0, 1.0, &mut drng);
+    let examples: Vec<Tensor> = xs
+        .as_slice()
+        .chunks_exact(14 * 14)
+        .map(|x| Tensor::from_vec(x.to_vec(), [1, 1, 14, 14]))
+        .collect();
+    let reference: Vec<f32> = examples
+        .iter()
+        .flat_map(|x| snn.infer_reference(x).as_slice().to_vec())
+        .collect();
+
+    for level in all_levels() {
+        for threads in [1usize, 2] {
+            let (single, batched) = simd::with_simd_level(level, || {
+                parallel::with_num_threads(threads, || {
+                    let mut single = Vec::new();
+                    assert!(snn.infer_into(&examples[0], &mut single));
+                    let mut batched = Vec::new();
+                    assert!(snn.infer_batch_into(&xs, &mut batched));
+                    (single, batched)
+                })
+            });
+            for (got, batch) in [(&single, 1usize), (&batched, 5)] {
+                assert_eq!(got.len(), 10 * batch);
+                for (i, (&r, &f)) in reference.iter().zip(got.iter()).enumerate() {
+                    assert_eq!(
+                        r.to_bits(),
+                        f.to_bits(),
+                        "batch {batch} logit {i} diverged at {level:?} x {threads} threads"
+                    );
+                }
+            }
         }
     }
 }

@@ -29,9 +29,19 @@
 //!   [`igemm`] widens its row-major count operand into the same kernel at
 //!   every SIMD level.
 //!
-//! [`igemm_conv`] picks the conv lowering from the SIMD level alone:
-//! `im2col` + the axpy orientation on AVX2 and scalar, `im2row` + the dot
-//! kernel on SSE2 when the image fits `i16`.
+//! [`igemm_conv`] picks the conv lowering from the SIMD level and the
+//! image's `i16` range:
+//!
+//! - **AVX2, image fits `i16`**: the *padded pair lowering*. The image is
+//!   copied once into a zero-padded scratch buffer, and each pair of tap
+//!   rows is written straight into the `[ceil(c·k²/2), oh·ow]` pair words
+//!   the `pmaddwd` axpy kernel reads — contiguous slices at stride 1,
+//!   stepped reads otherwise. The `im2col` matrix (`k²` copies of every
+//!   count) is never built, and the range check runs on the `c·h·w` image
+//!   instead of the expanded columns.
+//! - **SSE2, image fits `i16`**: `im2row` + the dot kernel.
+//! - **Everything else** (scalar, and images past `i16` at any level):
+//!   `im2col` + [`igemm_wx`], whose AVX2 route is the exact `vpmulld` body.
 
 use crate::conv::Conv2dSpec;
 use crate::linalg::BLOCK;
@@ -143,7 +153,9 @@ fn count_call() {
 /// True when every value fits `i16` — the precondition for widening an
 /// operand into the `pmaddwd` dot kernel without changing its value.
 fn fits_i16(vals: &[i32]) -> bool {
-    vals.iter().all(|&v| v >= i16::MIN as i32 && v <= i16::MAX as i32)
+    // A fold without early exit vectorizes; operands almost always fit, so
+    // stopping at the first miss would save nothing.
+    vals.iter().fold(true, |ok, &v| ok & (v == v as i16 as i32))
 }
 
 /// Widens an `i16`-ranged `i32` slice into `dst` (caller checked the range).
@@ -301,32 +313,16 @@ pub fn igemm_wx(out_dim: usize, k: usize, pix: usize, w: &PackedCodes, x: &[i32]
         // `pmaddwd` kernel runs 16 MACs per multiply against the weight
         // pair panel built at pack time. Wider counts take the exact
         // `vpmulld` body instead.
-        let serial = out_dim < 2 || out_dim * k * pix < 32 * 1024 || parallel::num_threads() == 1;
-        let kp = k.div_ceil(2);
-        let mut xpk = scratch::take_i32(kp * pix);
+        let mut xpk = scratch::take_i32(k.div_ceil(2) * pix);
         // The i16 range check is fused into the packing pass — one read of
         // the counts instead of a scan followed by a pack.
         if simd::pack_wx_pairs(level, k, pix, x, &mut xpk) {
-            if serial {
-                simd::wx_axpy_packed(level, out_dim, kp, pix, &w.pairs16, &xpk, c);
-            } else {
-                parallel::par_bands_mut(c, out_dim, pix, |f0, fb, c_band| {
-                    simd::wx_axpy_packed(
-                        level,
-                        fb,
-                        kp,
-                        pix,
-                        &w.pairs16[f0 * kp..(f0 + fb) * kp],
-                        &xpk,
-                        c_band,
-                    );
-                });
-            }
+            wx_packed(level, w, pix, &xpk, c);
             scratch::put_i32(xpk);
             return;
         }
         scratch::put_i32(xpk);
-        if serial {
+        if out_dim < 2 || out_dim * k * pix < 32 * 1024 || parallel::num_threads() == 1 {
             simd::wx_axpy(level, out_dim, k, pix, &w.rows16, x, c);
             return;
         }
@@ -358,6 +354,23 @@ pub fn igemm_wx(out_dim: usize, k: usize, pix: usize, w: &PackedCodes, x: &[i32]
     }
     parallel::par_bands_mut(c, out_dim, pix, |f0, fb, c_band| {
         igemm_wx_band(f0, fb, out_dim, k, pix, &w.data, x, c_band);
+    });
+}
+
+/// Shared AVX2 tail of [`igemm_wx`] and [`igemm_conv`]: `c[out×pix] +=
+/// W · x` with `x` already in the `[ceil(k/2), pix]` pair-word layout of
+/// [`simd::pack_wx_pairs`], split across the [`crate::parallel`] workers by
+/// output channel when the product is large enough.
+fn wx_packed(level: SimdLevel, w: &PackedCodes, pix: usize, xpk: &[i32], c: &mut [i32]) {
+    let (out_dim, k) = (w.out_dim, w.in_dim);
+    let kp = k.div_ceil(2);
+    if out_dim < 2 || out_dim * k * pix < 32 * 1024 || parallel::num_threads() == 1 {
+        simd::wx_axpy_packed(level, out_dim, kp, pix, &w.pairs16, xpk, c);
+        return;
+    }
+    parallel::par_bands_mut(c, out_dim, pix, |f0, fb, c_band| {
+        let w_band = &w.pairs16[f0 * kp..(f0 + fb) * kp];
+        simd::wx_axpy_packed(level, fb, kp, pix, w_band, xpk, c_band);
     });
 }
 
@@ -464,16 +477,70 @@ fn im2row_i16(src: &[i32], c: usize, (h, w): (usize, usize), spec: Conv2dSpec, r
     }
 }
 
-/// Integer convolution via the faster of the two lowerings:
+/// Lowers one `i16`-ranged integer image `[c, h, w]` straight into the
+/// `[ceil(c·k²/2), oh·ow]` pair-word layout [`simd::wx_axpy_packed`] reads:
+/// word `kkp·pix + p` holds taps `2kkp` and `2kkp + 1` of output pixel `p`
+/// in its low and high 16 bits (an odd final tap pairs with zero) — the
+/// words [`simd::pack_wx_pairs`] would build from the `im2col` matrix,
+/// without materializing that matrix.
+///
+/// The image is first copied once into a zero-padded scratch buffer, each
+/// value pre-masked to its low 16 bits, so each tap's rows are plain reads
+/// of the padded image — contiguous at stride 1, stepped otherwise — and a
+/// pair word is one shift and one or ([`simd::pair_rows`]). The caller has
+/// already range-checked `src`.
+fn im2pairs_i16(
+    level: SimdLevel,
+    src: &[i32],
+    c: usize,
+    (h, w): (usize, usize),
+    spec: Conv2dSpec,
+    xpk: &mut [i32],
+) {
+    let k = spec.kernel;
+    let (pad, stride) = (spec.padding, spec.stride);
+    let (oh, ow) = (spec.output_size(h), spec.output_size(w));
+    let ckk = c * k * k;
+    assert_eq!(src.len(), c * h * w, "im2pairs source length mismatch");
+    assert_eq!(xpk.len(), ckk.div_ceil(2) * oh * ow, "im2pairs output length");
+
+    let (hp, wp) = (h + 2 * pad, w + 2 * pad);
+    let mut img = scratch::take_i32(c * hp * wp);
+    for ic in 0..c {
+        for y in 0..h {
+            let srow = &src[(ic * h + y) * w..(ic * h + y + 1) * w];
+            let start = (ic * hp + y + pad) * wp + pad;
+            for (d, &v) in img[start..start + w].iter_mut().zip(srow) {
+                *d = v & 0xFFFF;
+            }
+        }
+    }
+    // Offset in `img` of tap `r`'s input for output pixel (0, 0).
+    let tap = |r: usize| {
+        let (ic, ky, kx) = (r / (k * k), r / k % k, r % k);
+        (ic * hp + ky) * wp + kx
+    };
+    for (kkp, dst) in xpk.chunks_exact_mut(oh * ow).enumerate() {
+        let b = (2 * kkp + 1 < ckk).then(|| tap(2 * kkp + 1));
+        let taps = (tap(2 * kkp), b);
+        simd::pair_rows(level, &img, taps, (stride, stride * wp), ow, dst);
+    }
+    scratch::put_i32(img);
+}
+
+/// Integer convolution via the fastest exact lowering for the SIMD level:
 /// `c[out×oh·ow] += W · lower(src)` for one `[in_c, h, w]` image.
 ///
-/// The two lowerings compute the same product in different loop orders:
-/// `im2col` feeds the axpy orientation ([`igemm_wx`]) — the AVX2 strip
-/// kernel's native layout; `im2row` feeds the SSE2 dot kernel, whose
-/// register tiles want one contiguous `i16` row per output pixel. The SIMD
-/// level alone picks per call — the dot lowering on SSE2 when the image
-/// fits `i16`, axpy everywhere else (AVX2, scalar, and SSE2 images past
-/// `i16`) — so callers always get the better loop order without choosing a
+/// The three lowerings compute the same product in different layouts. On
+/// AVX2, an `i16`-ranged image takes the padded pair lowering: one
+/// zero-padded copy of the image, from which each pair of tap rows is
+/// written directly into the `pmaddwd` pair words the axpy kernel reads
+/// (the words `im2col` followed by pair packing would produce, without
+/// the `k²`-times-larger column matrix). On SSE2, `im2row` feeds the dot
+/// kernel, whose register tiles want one contiguous `i16` row per output
+/// pixel. Scalar, and any image past `i16`, takes `im2col` + [`igemm_wx`]
+/// (on AVX2 its exact `vpmulld` body). The SIMD level and one range check
+/// over the `c·h·w` image pick per call, so callers never choose a
 /// lowering themselves.
 ///
 /// # Panics
@@ -495,6 +562,14 @@ pub fn igemm_conv(
     assert_eq!(c.len(), w.out_dim * pix, "igemm_conv output length mismatch");
 
     let level = simd::simd_level();
+    if level == SimdLevel::Avx2 && fits_i16(src) {
+        count_call();
+        let mut xpk = scratch::take_i32(ckk.div_ceil(2) * pix);
+        im2pairs_i16(level, src, in_c, (h, wd), spec, &mut xpk);
+        wx_packed(level, w, pix, &xpk, c);
+        scratch::put_i32(xpk);
+        return;
+    }
     if level == SimdLevel::Sse2 && fits_i16(src) {
         count_call();
         let mut rows16 = scratch::take_i16(pix * ckk);
@@ -503,8 +578,8 @@ pub fn igemm_conv(
         scratch::put_i16(rows16);
         return;
     }
-    // axpy lowering: on AVX2 `igemm_wx` runs the strip axpy kernel straight
-    // off the im2col layout (the fastest path); `igemm_wx` counts the call.
+    // im2col + axpy: the scalar reference route, and the wide-count route at
+    // every level (`igemm_wx` takes `vpmulld` on AVX2); it counts the call.
     let mut cols = scratch::take_i32(ckk * pix);
     im2col_i32(src, in_c, (h, wd), spec, &mut cols);
     igemm_wx(w.out_dim, ckk, pix, w, &cols, c);

@@ -333,6 +333,61 @@ pub(crate) fn pack_wx_pairs(
     }
 }
 
+/// One tap pair of the direct conv lowering into [`pack_wx_pairs`]'s
+/// layout: reads two taps' rows out of a padded image whose values are
+/// already masked to their low 16 bits and writes, for every output row
+/// `y` and column `x` (`dst` is `rows × width`, `width` = the output row
+/// length),
+/// `dst[y·width + x] = img[a + y·pitch + x·step] | img[b + y·pitch + x·step] << 16`,
+/// the high half zero when `b` is `None` (an odd final tap). `(a, b)` are
+/// the taps' offsets for output pixel (0, 0), `step` the conv stride and
+/// `pitch` the image offset between output rows.
+///
+/// # Panics
+///
+/// Panics if `width` is zero or does not divide `dst.len()`, or if a read
+/// would fall outside `img`.
+pub(crate) fn pair_rows(
+    level: SimdLevel,
+    img: &[i32],
+    (a, b): (usize, Option<usize>),
+    (step, pitch): (usize, usize),
+    width: usize,
+    dst: &mut [i32],
+) {
+    assert!(
+        width > 0 && dst.len().is_multiple_of(width),
+        "pair_rows output is not whole rows"
+    );
+    let rows = dst.len() / width;
+    if rows == 0 {
+        return;
+    }
+    let last = (rows - 1) * pitch + (width - 1) * step;
+    assert!(
+        a.max(b.unwrap_or(0)) + last < img.len(),
+        "pair_rows reads past the image"
+    );
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: every read `a|b + y·pitch + x` (step 1) is at most
+        // `max(a, b) + last`, checked above; writes stay inside `dst`.
+        // AVX2 is guaranteed by `level`, which is always clamped to
+        // `detected_simd`.
+        SimdLevel::Avx2 if step == 1 => unsafe {
+            x86::pair_rows_avx2(img, a, b, pitch, width, dst)
+        },
+        _ => {
+            for (y, drow) in dst.chunks_exact_mut(width).enumerate() {
+                let (ra, rb) = (a + y * pitch, b.map(|b| b + y * pitch));
+                for (x, d) in drow.iter_mut().enumerate() {
+                    *d = img[ra + x * step] | rb.map_or(0, |rb| img[rb + x * step] << 16);
+                }
+            }
+        }
+    }
+}
+
 /// `pmaddwd` weights-times-columns strips over pre-packed pair operands:
 /// `c[j·pix + p] += Σ_kkp madd(xpk[kkp·pix + p], wpairs[j·kp + kkp])`,
 /// where both sides hold two `i16` values per `i32` word ([`pack_wx_pairs`]
@@ -785,6 +840,56 @@ mod x86 {
             }
         }
         ok_tail && _mm256_movemask_epi8(ok_acc) == -1
+    }
+
+    /// AVX2 [`super::pair_rows`] at stride 1: each output row is whole
+    /// 8-word chunks of `a | b << 16` over contiguous image reads, with a
+    /// masked load/store for the final partial chunk (so no read or write
+    /// leaves the row).
+    ///
+    /// # Safety
+    ///
+    /// Caller must guarantee `dst.len()` is a multiple of `width`, that
+    /// `max(a, b) + (dst.len()/width − 1)·pitch + width ≤ img.len()`, and
+    /// that the CPU supports AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn pair_rows_avx2(
+        img: &[i32],
+        a: usize,
+        b: Option<usize>,
+        pitch: usize,
+        width: usize,
+        dst: &mut [i32],
+    ) {
+        let tail = width % 8;
+        let mask = _mm256_cmpgt_epi32(
+            _mm256_set1_epi32(tail as i32),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        );
+        let ip = img.as_ptr();
+        for (y, drow) in dst.chunks_exact_mut(width).enumerate() {
+            let ra = ip.add(a + y * pitch);
+            let rb = b.map(|b| ip.add(b + y * pitch));
+            let rd = drow.as_mut_ptr();
+            let mut x = 0usize;
+            while x + 8 <= width {
+                let mut v = _mm256_loadu_si256(ra.add(x) as *const __m256i);
+                if let Some(rb) = rb {
+                    let hi = _mm256_loadu_si256(rb.add(x) as *const __m256i);
+                    v = _mm256_or_si256(v, _mm256_slli_epi32(hi, 16));
+                }
+                _mm256_storeu_si256(rd.add(x) as *mut __m256i, v);
+                x += 8;
+            }
+            if tail != 0 {
+                let mut v = _mm256_maskload_epi32(ra.add(x), mask);
+                if let Some(rb) = rb {
+                    let hi = _mm256_maskload_epi32(rb.add(x), mask);
+                    v = _mm256_or_si256(v, _mm256_slli_epi32(hi, 16));
+                }
+                _mm256_maskstore_epi32(rd.add(x), mask, v);
+            }
+        }
     }
 
     /// Scalar tail of one output row of the packed axpy, decoding the pair

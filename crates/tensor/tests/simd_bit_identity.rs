@@ -9,7 +9,9 @@
 //! `i16::MAX` (exercising the widening fallback), operands from dense to
 //! 95% zero (quantized ReLU counts and clustered weights are often mostly
 //! zero), and deliberately unaligned subslices, and pin every available
-//! level against a scalar single-threaded run of the same entry point.
+//! level against a scalar single-threaded run of the same entry point —
+//! or, for `igemm_conv`, against a direct convolution written from the
+//! definition, since the scalar conv shares the `im2col` lowering.
 
 use proptest::prelude::*;
 use qsnc_tensor::{
@@ -25,6 +27,53 @@ fn hw_levels() -> Vec<SimdLevel> {
         .into_iter()
         .filter(|&l| l <= top)
         .collect()
+}
+
+/// Every SIMD level this machine can execute, scalar included.
+fn all_levels() -> Vec<SimdLevel> {
+    let mut levels = vec![SimdLevel::Scalar];
+    levels.extend(hw_levels());
+    levels
+}
+
+/// Convolution written from the definition, sharing no lowering with the
+/// code under test: `out[f, oy, ox] = Σ_{ic,ky,kx} code[f, ic, ky, kx] ·
+/// src[ic, oy·s + ky − p, ox·s + kx − p]`, taps outside the image reading
+/// zero. Codes are in `[out, in_c·k·k]` layout, the output `[out, oh·ow]`.
+fn direct_conv(
+    src: &[i32],
+    in_c: usize,
+    (h, w): (usize, usize),
+    spec: Conv2dSpec,
+    codes: &[i32],
+    out_c: usize,
+) -> Vec<i32> {
+    let (k, s, p) = (spec.kernel, spec.stride, spec.padding as isize);
+    let (oh, ow) = (spec.output_size(h), spec.output_size(w));
+    let mut out = vec![0i32; out_c * oh * ow];
+    for f in 0..out_c {
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let mut acc = 0i32;
+                for ic in 0..in_c {
+                    for ky in 0..k {
+                        for kx in 0..k {
+                            let iy = (oy * s + ky) as isize - p;
+                            let ix = (ox * s + kx) as isize - p;
+                            if iy < 0 || ix < 0 || iy >= h as isize || ix >= w as isize {
+                                continue;
+                            }
+                            let x = src[(ic * h + iy as usize) * w + ix as usize];
+                            let code = codes[f * in_c * k * k + (ic * k + ky) * k + kx];
+                            acc = acc.wrapping_add(code.wrapping_mul(x));
+                        }
+                    }
+                }
+                out[(f * oh + oy) * ow + ox] = acc;
+            }
+        }
+    }
+    out
 }
 
 /// Draws `len` values from `value`, replacing each with zero with
@@ -148,32 +197,29 @@ proptest! {
     }
 
     #[test]
-    fn igemm_conv_matches_scalar_at_every_level(
-        in_c in 1usize..3, h in 3usize..9, w in 3usize..9,
-        kernel in 1usize..4, stride in 1usize..3, padding in 0usize..2,
+    fn igemm_conv_matches_direct_conv_at_every_level(
+        // The engine's real geometry: LeNet conv1 is k5 p2, `in_c · k²`
+        // takes both parities of the pair tail, and padding reaches
+        // `kernel − 1`.
+        in_c in 1usize..=4, h in 1usize..10, w in 1usize..10,
+        kernel in 1usize..=5, stride in 1usize..=3, pad_draw in 0usize..5,
         out_c in 1usize..9,
         seed in 0u64..10_000, zero_pct in 0u32..=95,
     ) {
+        let padding = pad_draw % kernel;
         prop_assume!(h + 2 * padding >= kernel && w + 2 * padding >= kernel);
         let spec = Conv2dSpec::new(kernel, stride, padding);
-        let pix = spec.output_size(h) * spec.output_size(w);
         let ckk = in_c * kernel * kernel;
 
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let src = counts(in_c * h * w, zero_pct, &mut rng);
         let wcodes = codes(out_c * ckk, zero_pct, &mut rng);
         let packed = PackedCodes::try_pack(&wcodes, out_c, ckk).expect("codes fit i8");
+        let oracle = direct_conv(&src, in_c, (h, w), spec, &wcodes, out_c);
 
-        let mut oracle = vec![0i32; out_c * pix];
-        simd::with_simd_level(SimdLevel::Scalar, || {
-            parallel::with_num_threads(1, || {
-                igemm_conv(&src, in_c, (h, w), spec, &packed, &mut oracle)
-            });
-        });
-
-        for level in hw_levels() {
+        for level in all_levels() {
             for threads in [1usize, 4] {
-                let mut c = vec![0i32; out_c * pix];
+                let mut c = vec![0i32; oracle.len()];
                 simd::with_simd_level(level, || {
                     parallel::with_num_threads(threads, || {
                         igemm_conv(&src, in_c, (h, w), spec, &packed, &mut c)
@@ -185,6 +231,32 @@ proptest! {
                     level, threads, in_c, h, w, kernel, stride, padding
                 );
             }
+        }
+    }
+
+    #[test]
+    fn conv_counts_past_i16_fall_back_bit_identically(
+        // An image value past i16::MAX must send igemm_conv down the wide
+        // `im2col` + `vpmulld` route at AVX2 (and off the `im2row` dot
+        // route at SSE2), with the same words as the direct convolution.
+        in_c in 1usize..=3, h in 2usize..8, w in 2usize..8,
+        kernel in 1usize..=3, padding in 0usize..2, out_c in 1usize..6,
+        seed in 0u64..10_000, zero_pct in 0u32..=95,
+    ) {
+        prop_assume!(h + 2 * padding >= kernel && w + 2 * padding >= kernel);
+        let spec = Conv2dSpec::new(kernel, 1, padding);
+        let ckk = in_c * kernel * kernel;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut src = sparse(in_c * h * w, zero_pct, &mut rng, |r| r.gen_range(0..=40_000));
+        let hot = rng.gen_range(0..src.len());
+        src[hot] = 40_000; // definitely > i16::MAX
+        let wcodes = codes(out_c * ckk, zero_pct, &mut rng);
+        let packed = PackedCodes::try_pack(&wcodes, out_c, ckk).expect("codes fit i8");
+        let oracle = direct_conv(&src, in_c, (h, w), spec, &wcodes, out_c);
+        for level in all_levels() {
+            let mut c = vec![0i32; oracle.len()];
+            simd::with_simd_level(level, || igemm_conv(&src, in_c, (h, w), spec, &packed, &mut c));
+            prop_assert_eq!(&c, &oracle, "wide-count conv diverged at {:?}", level);
         }
     }
 
@@ -286,8 +358,8 @@ proptest! {
     }
 }
 
-/// Deterministic spot check that the AVX2/SSE2 conv path really is the
-/// im2row lowering of the same arithmetic: an asymmetric LeNet-like shape,
+/// Deterministic spot check that the AVX2 pair and SSE2 `im2row`
+/// lowerings compute the scalar arithmetic: an asymmetric LeNet-like shape,
 /// accumulation into a non-zero output (the GEMMs add into `c`).
 #[test]
 fn conv_simd_accumulates_like_scalar() {
