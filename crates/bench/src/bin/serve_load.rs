@@ -25,10 +25,12 @@
 //!    into a local `qsnc_telemetry::QuantileHistogram` and the sketch's
 //!    p50/p99 are checked against the exact sorted-sample percentiles
 //!    within the sketch's documented relative error bound.
-//! 2. **Admin overhead** — the same closed-loop load runs once against a
-//!    plain server and once against a server with the admin endpoint
-//!    enabled *and being scraped*, and the throughput regression is
-//!    reported (`serve_admin_overhead` in the JSON output).
+//! 2. **Overheads** — the same closed-loop load runs in interleaved
+//!    off/on pairs: telemetry off vs recording on one server
+//!    (`serve_telemetry_overhead` in the JSON output), then a plain
+//!    recording server vs one with the admin endpoint enabled *and being
+//!    scraped* (`serve_admin_overhead`). Each is reported as the median of
+//!    the paired throughput differences.
 //! 3. **Slow traces** — a server with `slow_us = 0` captures a stage
 //!    trace for every request; the `/slow` dump must hold one complete
 //!    trace per request.
@@ -85,6 +87,9 @@ const ROUND_CLIENT_COUNTS: [usize; 2] = [1, 16];
 
 /// Client count used for the telemetry/admin-overhead A/B comparisons.
 const OVERHEAD_CLIENTS: usize = 4;
+
+/// Interleaved off/on sweep pairs per overhead comparison.
+const OVERHEAD_PAIRS: usize = 10;
 
 struct Sweep {
     clients: usize,
@@ -251,9 +256,9 @@ fn run_sweep(addr: std::net::SocketAddr, clients: usize, shots: usize) -> Sweep 
 /// One paced scale arm: think time scales with the client count so every
 /// arm offers [`SCALE_OFFERED_RPS`] in total, and shots scale inversely so
 /// every arm collects [`SCALE_TOTAL_SAMPLES`] latency samples. Reported as
-/// the best (lowest-p99) of three repetitions — the same one-sided-noise
-/// argument as [`measured_rps`]: a shared host only ever adds latency, so
-/// the cleanest repetition is the closest estimate of the server itself.
+/// the best (lowest-p99) of three repetitions: a shared host only ever
+/// adds latency, so the cleanest repetition is the closest estimate of the
+/// server itself.
 fn run_scale_arm(addr: std::net::SocketAddr, clients: usize) -> Sweep {
     let think = Duration::from_secs_f64(clients as f64 / SCALE_OFFERED_RPS);
     let shots = (SCALE_TOTAL_SAMPLES / clients).max(8);
@@ -319,37 +324,49 @@ fn compile_lenet() -> SpikingNetwork {
     snn
 }
 
-/// Best-of-3 throughput (after an untimed warm-up), with an optional
-/// concurrent scraper hammering the admin endpoint throughout. Shared-host
-/// scheduler noise is one-sided — interference only slows a sweep down —
-/// so the max over repeated sweeps is a far more stable A/B estimator
-/// than any single run.
+/// Throughput of one [`OVERHEAD_CLIENTS`] sweep against `server`; with
+/// `scrape` set, a concurrent scraper hammers its admin endpoint
+/// throughout.
 fn measured_rps(server: &Server, shots: usize, scrape: bool) -> f64 {
-    run_sweep(server.local_addr(), OVERHEAD_CLIENTS, shots.div_ceil(10).max(5));
     let stop = Arc::new(AtomicBool::new(false));
     let scraper = scrape.then(|| {
         let admin = server.admin_local_addr().expect("admin enabled");
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
             let mut scrapes = 0usize;
-            while !stop.load(Ordering::Relaxed) {
+            loop {
                 let body = admin_get(admin, "/metrics");
                 assert!(body.contains("qsnc_serve_requests_total"), "scrape lost the counter");
                 scrapes += 1;
+                if stop.load(Ordering::Relaxed) {
+                    break scrapes;
+                }
                 std::thread::sleep(Duration::from_millis(5));
             }
-            scrapes
         })
     });
-    let best = (0..3)
-        .map(|_| run_sweep(server.local_addr(), OVERHEAD_CLIENTS, shots).throughput_rps)
-        .fold(0.0f64, f64::max);
+    let rps = run_sweep(server.local_addr(), OVERHEAD_CLIENTS, shots).throughput_rps;
     stop.store(true, Ordering::Relaxed);
     if let Some(h) = scraper {
         let scrapes = h.join().expect("scraper thread");
         assert!(scrapes > 0, "scraper never completed a scrape");
     }
-    best
+    rps
+}
+
+/// Runs [`OVERHEAD_PAIRS`] interleaved pairs — one `off` sweep, then one
+/// `on` sweep — so slow host periods land on both arms alike. Returns the
+/// median throughput of each arm and the median of the paired
+/// percentage losses `(off - on) / off`.
+fn paired_overhead(mut off: impl FnMut() -> f64, mut on: impl FnMut() -> f64) -> [f64; 3] {
+    let (mut offs, mut ons, mut pcts) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..OVERHEAD_PAIRS {
+        let (a, b) = (off(), on());
+        pcts.push((a - b) / a * 100.0);
+        offs.push(a);
+        ons.push(b);
+    }
+    [offs, ons, pcts].map(|v| quartiles(v)[1])
 }
 
 /// Nearest-rank first quartile, median and third quartile.
@@ -404,8 +421,8 @@ fn run_rounds(snn: Arc<SpikingNetwork>, config: ServeConfig, shots: usize, round
     }
     let mut report = Report::new("qsnc-serve load generator (interleaved rounds)");
     report.table(table).table(summary).note(format!(
-        "config: max_batch={}, queue_cap={}, workers={}, {shots} shots/client",
-        config.max_batch, config.queue_cap, config.workers
+        "config: max_batch={}, loops={}, {shots} shots/client",
+        config.max_batch, config.loops
     ));
     report.emit();
 }
@@ -443,7 +460,7 @@ fn main() {
     );
     let mut sweeps = Vec::new();
     for &clients in &CLIENT_COUNTS {
-        // A short untimed warm-up so worker scratch arenas and per-batch
+        // A short untimed warm-up so loop scratch arenas and per-batch
         // tensors are sized before the measured window.
         run_sweep(addr, clients, shots.div_ceil(10).max(5));
         let sweep = run_sweep(addr, clients, shots);
@@ -509,36 +526,47 @@ fn main() {
         ]);
     }
 
-    // Phase 2, two isolations. First: what does flipping telemetry from
-    // off to recording cost the data path (no admin plane involved)?
-    let measure_plain = || {
-        let server =
-            Server::spawn(Arc::clone(&snn), &[1, 28, 28], "127.0.0.1:0", config.clone())
-                .expect("spawn server");
-        let rps = measured_rps(&server, shots, false);
-        server.shutdown();
-        rps
+    // Phase 2, two isolations, each as interleaved off/on pairs after an
+    // untimed warm-up. First: what does flipping telemetry from off to
+    // recording cost the data path (no admin plane involved)?
+    let warm = |server: &Server| {
+        run_sweep(server.local_addr(), OVERHEAD_CLIENTS, shots.div_ceil(10).max(5));
     };
-    let off_rps = measure_plain();
-    qsnc_telemetry::set_mode(qsnc_telemetry::TelemetryMode::Record);
-    let base_rps = measure_plain();
-    let telemetry_pct = (off_rps - base_rps) / off_rps * 100.0;
+    // The recording arm keeps a mode the environment already chose, so a
+    // JSON run still emits its report at exit.
+    let record_mode = match qsnc_telemetry::mode() {
+        qsnc_telemetry::TelemetryMode::Off => qsnc_telemetry::TelemetryMode::Record,
+        mode => mode,
+    };
+    let set_mode = qsnc_telemetry::set_mode;
+    let plain = Server::spawn(Arc::clone(&snn), &[1, 28, 28], "127.0.0.1:0", config.clone())
+        .expect("spawn server");
+    warm(&plain);
+    let [off_rps, record_rps, telemetry_pct] = paired_overhead(
+        || {
+            set_mode(qsnc_telemetry::TelemetryMode::Off);
+            measured_rps(&plain, shots, false)
+        },
+        || {
+            set_mode(record_mode);
+            measured_rps(&plain, shots, false)
+        },
+    );
 
     // Second: with recording on in both arms, what does the admin plane
     // itself cost while /metrics is actively scraped? This isolates the
     // listener + scrape serialization from the cost of recording.
-    let admin_rps = {
-        let admin_config = ServeConfig {
-            admin_addr: Some("127.0.0.1:0".to_string()),
-            ..config.clone()
-        };
-        let server = Server::spawn(Arc::clone(&snn), &[1, 28, 28], "127.0.0.1:0", admin_config)
-            .expect("spawn admin server");
-        let rps = measured_rps(&server, shots, true);
-        server.shutdown();
-        rps
-    };
-    let regression_pct = (base_rps - admin_rps) / base_rps * 100.0;
+    let admin_config =
+        ServeConfig { admin_addr: Some("127.0.0.1:0".to_string()), ..config.clone() };
+    let admin = Server::spawn(Arc::clone(&snn), &[1, 28, 28], "127.0.0.1:0", admin_config)
+        .expect("spawn admin server");
+    warm(&admin);
+    let [base_rps, admin_rps, regression_pct] = paired_overhead(
+        || measured_rps(&plain, shots, false),
+        || measured_rps(&admin, shots, true),
+    );
+    plain.shutdown();
+    admin.shutdown();
 
     // Phase 3: slow capture — every request must leave a complete trace.
     let slow_traces = {
@@ -580,9 +608,8 @@ fn main() {
         .table(scale_table)
         .table(sketch_table)
         .note(format!(
-            "config: max_batch={}, queue_cap={}, workers={}, {} shots/client, \
-             {cores} cores detected",
-            config.max_batch, config.queue_cap, config.workers, shots
+            "config: max_batch={}, loops={}, {} shots/client, {cores} cores detected",
+            config.max_batch, config.loops, shots
         ))
         .note(format!(
             "scale sweep: p99 {scale_p99_16:.0}µs at {} clients vs {scale_p99_max:.0}µs at {} \
@@ -592,13 +619,14 @@ fn main() {
             if scale_p99_16 > 0.0 { scale_p99_max / scale_p99_16 } else { 0.0 },
         ))
         .note(format!(
-            "telemetry overhead ({OVERHEAD_CLIENTS} clients): off {off_rps:.1} req/s vs \
-             recording {base_rps:.1} req/s ({telemetry_pct:+.2}%)"
+            "telemetry overhead ({OVERHEAD_CLIENTS} clients, median of {OVERHEAD_PAIRS} \
+             interleaved pairs): off {off_rps:.1} req/s vs recording {record_rps:.1} req/s \
+             ({telemetry_pct:+.2}%)"
         ))
         .note(format!(
             "admin overhead ({OVERHEAD_CLIENTS} clients, recording in both arms, /metrics \
-             scraped every 5ms): base {base_rps:.1} req/s vs admin {admin_rps:.1} req/s \
-             ({regression_pct:+.2}%)"
+             scraped every 5ms, median of {OVERHEAD_PAIRS} interleaved pairs): base \
+             {base_rps:.1} req/s vs admin {admin_rps:.1} req/s ({regression_pct:+.2}%)"
         ))
         .note(format!("slow capture (slow_us=0): {slow_traces} complete stage traces in /slow"))
         .note("caveat: generator and server share one process (single-core deployment");
@@ -632,13 +660,13 @@ fn main() {
             let _ = writeln!(
                 f,
                 "{{\"name\": \"serve_telemetry_overhead\", \"cores\": {cores}, \
-                 \"off_rps\": {off_rps:.1}, \
-                 \"record_rps\": {base_rps:.1}, \"overhead_pct\": {telemetry_pct:.2}}}"
+                 \"pairs\": {OVERHEAD_PAIRS}, \"off_rps\": {off_rps:.1}, \
+                 \"record_rps\": {record_rps:.1}, \"overhead_pct\": {telemetry_pct:.2}}}"
             );
             let _ = writeln!(
                 f,
                 "{{\"name\": \"serve_admin_overhead\", \"cores\": {cores}, \
-                 \"base_rps\": {base_rps:.1}, \
+                 \"pairs\": {OVERHEAD_PAIRS}, \"base_rps\": {base_rps:.1}, \
                  \"admin_rps\": {admin_rps:.1}, \"regression_pct\": {regression_pct:.2}}}"
             );
             let _ = writeln!(

@@ -30,11 +30,13 @@
 //! for those.
 //!
 //! Each accepted connection is answered on its own short-lived handler
-//! thread with a 2-second (`SCRAPE_TIMEOUT`) read/write timeout, so one stalled
-//! scraper can neither delay the next `/metrics` poll (it used to hold
-//! the single-threaded listener for the whole timeout) nor hold a thread
-//! forever. Delta cursors live behind a mutex shared by the handlers; the
-//! data plane never waits on the admin plane.
+//! thread, so one stalled scraper cannot delay the next `/metrics` poll.
+//! A handler gets `SCRAPE_TIMEOUT` (2 s) to read the whole request and
+//! again to write the whole response, however slowly the client trickles
+//! bytes, and at most `MAX_HANDLERS` run at once: a connection past the
+//! cap is answered `503` inline and closed. Delta cursors live behind a
+//! mutex shared by the handlers; the data plane never waits on the admin
+//! plane.
 
 use crate::registry::{ModelRegistry, ModelStatus};
 use qsnc_telemetry::{DeltaCursor, HistogramSnapshot, QuantileSnapshot, Snapshot, SpanSnapshot};
@@ -42,10 +44,10 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Quantiles exported per sketch on `/metrics`.
 const SUMMARY_QUANTILES: &[f64] = &[0.5, 0.9, 0.99, 0.999];
@@ -53,9 +55,13 @@ const SUMMARY_QUANTILES: &[f64] = &[0.5, 0.9, 0.99, 0.999];
 /// Largest request head (request line + headers) the parser accepts.
 const MAX_REQUEST_BYTES: usize = 8 * 1024;
 
-/// Read/write timeout on accepted admin connections: the longest a stalled
-/// scraper can hold one handler thread.
+/// Deadline for reading a whole request, and again for writing a whole
+/// response: a stalled scraper holds a handler thread about twice this
+/// long at most.
 const SCRAPE_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Handler threads allowed at once; connections past the cap get `503`.
+const MAX_HANDLERS: usize = 16;
 
 /// Binds `addr` and starts the admin thread. Returns the resolved local
 /// address (port 0 becomes the actual ephemeral port) and the thread
@@ -72,8 +78,18 @@ pub(crate) fn spawn(
     Ok((local, handle))
 }
 
+/// Counts one running handler thread; dropping it frees the slot.
+struct HandlerSlot(Arc<AtomicUsize>);
+
+impl Drop for HandlerSlot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
 fn admin_loop(listener: &TcpListener, running: &AtomicBool, registry: &Arc<ModelRegistry>) {
     let cursors: Arc<Mutex<HashMap<String, DeltaCursor>>> = Arc::new(Mutex::new(HashMap::new()));
+    let handlers = Arc::new(AtomicUsize::new(0));
     loop {
         let stream = match listener.accept() {
             Ok((stream, _)) => stream,
@@ -85,25 +101,30 @@ fn admin_loop(listener: &TcpListener, running: &AtomicBool, registry: &Arc<Model
                 continue;
             }
         };
-        let stop = !running.load(Ordering::SeqCst);
         // Serve even the final connection: a scrape racing shutdown gets
         // its answer, and the drain nudge carries no request so it falls
-        // straight through the read. Timeouts bound a stalled client.
-        let _ = stream.set_read_timeout(Some(SCRAPE_TIMEOUT));
-        let _ = stream.set_write_timeout(Some(SCRAPE_TIMEOUT));
-        if stop {
+        // straight through the read. Deadlines bound a stalled client.
+        if !running.load(Ordering::SeqCst) {
             // Answer the final scrape inline; there is no one left to
             // accept for while it runs.
             let _ = handle_connection(stream, &cursors, registry);
             break;
         }
+        // Only this loop adds handlers, so the check cannot overshoot.
+        if handlers.load(Ordering::Acquire) >= MAX_HANDLERS {
+            let mut stream = stream;
+            let _ = respond(&mut stream, "503 Service Unavailable", "text/plain", "busy\n");
+            continue;
+        }
         // Handler threads keep the accept loop responsive while a slow
-        // scraper trickles its request or reads its response; the timeout
-        // above bounds each handler's lifetime, so these threads cannot
-        // accumulate past (stalled scrapers × timeout).
+        // scraper trickles its request or reads its response; the cap and
+        // the deadlines bound how many there are and how long each lives.
+        handlers.fetch_add(1, Ordering::AcqRel);
+        let slot = HandlerSlot(Arc::clone(&handlers));
         let cursors = Arc::clone(&cursors);
         let registry = Arc::clone(registry);
         std::thread::spawn(move || {
+            let _slot = slot;
             let _ = handle_connection(stream, &cursors, &registry);
         });
     }
@@ -116,10 +137,12 @@ fn handle_connection(
 ) -> io::Result<()> {
     let mut head = Vec::new();
     let mut buf = [0u8; 1024];
+    let deadline = Instant::now() + SCRAPE_TIMEOUT;
     while !head.windows(4).any(|w| w == b"\r\n\r\n") {
         if head.len() > MAX_REQUEST_BYTES {
             return respond(&mut stream, "431 Request Header Fields Too Large", "text/plain", "");
         }
+        stream.set_read_timeout(Some(time_left(deadline)?))?;
         let n = stream.read(&mut buf)?;
         if n == 0 {
             return Ok(()); // closed before a full request: the drain nudge
@@ -280,19 +303,40 @@ fn percent_decode(s: &str) -> String {
     String::from_utf8_lossy(&out).into_owned()
 }
 
+/// Time left before `deadline`; a passed deadline is a `TimedOut` error.
+fn time_left(deadline: Instant) -> io::Result<Duration> {
+    let left = deadline.saturating_duration_since(Instant::now());
+    if left.is_zero() {
+        return Err(io::ErrorKind::TimedOut.into());
+    }
+    Ok(left)
+}
+
+/// Writes one whole response within [`SCRAPE_TIMEOUT`].
 fn respond(
     stream: &mut TcpStream,
     status: &str,
     content_type: &str,
     body: &str,
 ) -> io::Result<()> {
-    write!(
-        stream,
+    let mut wire = format!(
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
-    )?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
+    )
+    .into_bytes();
+    wire.extend_from_slice(body.as_bytes());
+    let deadline = Instant::now() + SCRAPE_TIMEOUT;
+    let mut rest = &wire[..];
+    while !rest.is_empty() {
+        stream.set_write_timeout(Some(time_left(deadline)?))?;
+        match stream.write(rest) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => rest = &rest[n..],
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Maps a dotted taxonomy name to a Prometheus metric name: every
@@ -381,6 +425,7 @@ pub fn render_prometheus(snap: &Snapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::ModelSpec;
 
     #[test]
     fn prom_names_are_sanitized_and_prefixed() {
@@ -470,5 +515,72 @@ mod tests {
         assert!(json.contains("\"input_dims\":[1,28,28]"), "{json}");
         assert!(json.contains("\"quota\":16"), "{json}");
         assert!(json.contains("\"checkpoint_digest\":\"00000000deadbeef\""), "{json}");
+    }
+
+    /// Reads until the server closes the connection (or resets it).
+    fn read_to_close(mut stream: &TcpStream) -> String {
+        let mut text = Vec::new();
+        let _ = stream.read_to_end(&mut text);
+        String::from_utf8_lossy(&text).into_owned()
+    }
+
+    #[test]
+    fn handlers_are_capped_and_a_trickled_request_meets_its_deadline() {
+        let snn = crate::inflight_tests::served_network(5);
+        let specs = vec![ModelSpec::new("m", snn, vec![1, 28, 28])];
+        let registry = Arc::new(ModelRegistry::new(specs, None, Duration::from_secs(1)).unwrap());
+        let running = Arc::new(AtomicBool::new(true));
+        let (addr, admin) = spawn("127.0.0.1:0", Arc::clone(&running), registry).unwrap();
+        let connect = || {
+            let stream = TcpStream::connect(addr).unwrap();
+            stream.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+            stream
+        };
+
+        // The first handler gets a request one byte every 250 ms: no single
+        // read waits long, but the whole request would take ~9 s.
+        let trickled = connect();
+        let writer = trickled.try_clone().unwrap();
+        let t0 = Instant::now();
+        std::thread::spawn(move || {
+            for &byte in b"GET /healthz HTTP/1.1\r\nHost: qsnc\r\n\r\n" {
+                if (&writer).write_all(&[byte]).is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(250));
+            }
+        });
+        // The other handlers stall on one byte each, filling the cap.
+        let stalled: Vec<TcpStream> = (1..MAX_HANDLERS)
+            .map(|_| {
+                let stream = connect();
+                (&stream).write_all(b"G").unwrap();
+                stream
+            })
+            .collect();
+        let refused = read_to_close(&connect());
+        assert!(refused.starts_with("HTTP/1.1 503"), "past the cap: {refused:?}");
+
+        let trickle_reply = read_to_close(&trickled);
+        let held = t0.elapsed();
+        assert!(trickle_reply.is_empty(), "a trickled request must not be served: {trickle_reply:?}");
+        assert!(held < Duration::from_secs(5), "handler held {held:?} past its deadline");
+
+        // Once the stalled handlers hit their deadline, slots free up.
+        let deadline = Instant::now() + Duration::from_secs(20);
+        loop {
+            let stream = connect();
+            (&stream).write_all(b"GET /healthz HTTP/1.1\r\nHost: qsnc\r\n\r\n").unwrap();
+            let reply = read_to_close(&stream);
+            if reply.starts_with("HTTP/1.1 200") {
+                break;
+            }
+            assert!(Instant::now() < deadline, "no handler slot came free: {reply:?}");
+            std::thread::sleep(Duration::from_millis(50));
+        }
+        drop(stalled);
+        running.store(false, Ordering::SeqCst);
+        drop(TcpStream::connect(addr));
+        admin.join().unwrap();
     }
 }

@@ -1,5 +1,5 @@
-//! The server's front end: a small number of epoll event-loop threads own
-//! every client socket non-blocking.
+//! The server: a small number of epoll event-loop threads own every client
+//! socket non-blocking and run the engine on the requests they admit.
 //!
 //! ## Shape
 //!
@@ -16,10 +16,22 @@
 //!   walks complete frames out of it (v1 and v2 interleave freely), and
 //!   replies are encoded into a per-connection output buffer that flushes
 //!   as far as `EAGAIN` allows, finishing under `EPOLLOUT`;
-//! - its **wakeup pipe** — workers finish a batch, push its completions
-//!   onto the owning loop's queue under one lock
-//!   ([`LoopShared::complete_all`]) and write one byte to wake it;
+//! - its **wakeup pipe** — loop 0 hands it accepted connections, and
+//!   [`crate::Server::drain`] wakes it for shutdown;
 //! - (loop 0) the **listener**.
+//!
+//! ## Run to completion
+//!
+//! Frames parsed in an epoll round are admitted to the loop's pending
+//! list. After the round the loop takes that list in arrival order, cuts
+//! it into version-homogeneous batches of at most `max_batch`
+//! ([`next_batch`]), runs each through `infer_batch_into` on its own thread
+//! and encodes every reply straight from the engine's output into its
+//! connection's buffer. No request crosses a thread, and no timer holds
+//! one back: a lone request is a batch of one, and batches grow only with
+//! the requests that arrive together. A request's lease drops before its
+//! reply is encoded, so a client never sees a reply the quota still
+//! counts.
 //!
 //! ## Multiplexing and backpressure
 //!
@@ -27,41 +39,42 @@
 //! [`LoopConfig::max_inflight`] requests may be in flight per connection
 //! and replies return tagged in completion order — out of order is
 //! expected and correct. The per-connection budget answers
-//! [`Status::Busy`] (tagged) when exhausted; the bounded admission queue
-//! answers `Busy` when full; and a connection whose output buffer passes
-//! the high-water mark stops being *read* (its `EPOLLIN` interest drops)
-//! until the client drains replies, so a slow reader throttles itself
-//! through TCP instead of growing server memory. A v1 (untagged) frame gates parsing until its reply is
-//! written — the reply is only identifiable by arrival order — so v1
-//! clients keep strict request/reply lockstep on the same port.
+//! [`Status::Busy`] (tagged) when exhausted; the loop's pending cap
+//! ([`LoopConfig::queue_cap`]) answers `Busy` when full; and a connection
+//! whose output buffer passes the high-water mark stops being *read* (its
+//! `EPOLLIN` interest drops) until the client drains replies, so a slow
+//! reader throttles itself through TCP instead of growing server memory.
+//! A v1 (untagged) frame gates parsing until its reply is written — the
+//! reply is only identifiable by arrival order — so v1 clients keep strict
+//! request/reply lockstep on the same port.
 //!
 //! ## Drain
 //!
 //! Shutdown flips `running`, wakes every loop, and each loop: deregisters
-//! the listener, stops parsing new frames, answers everything already
-//! admitted (workers keep running until the loops exit), flushes every
-//! output buffer, then closes its connections and returns. Unparsed bytes
-//! buffered behind the drain point are dropped — those requests were
-//! never admitted. A client that stopped reading cannot stall the drain
-//! past [`DRAIN_FLUSH_LIMIT`].
+//! the listener, stops parsing new frames, runs and answers everything
+//! already admitted, flushes every output buffer, then closes its
+//! connections and returns. Unparsed bytes buffered behind the drain point
+//! are dropped — those requests were never admitted. A client that stopped
+//! reading cannot stall the drain past [`DRAIN_FLUSH_LIMIT`].
 //!
 //! Telemetry lands under `serve.conn.*` (connection-scoped gauges and
-//! counters) and `serve.loop.*` (loop-scoped counters and the dispatch
-//! sketch); see docs/telemetry.md.
+//! counters), `serve.loop.*` (loop-scoped counters and the dispatch
+//! sketch) and the per-request and per-batch `serve.*` metrics; see
+//! docs/telemetry.md.
 
-use crate::batcher::{Request, WorkerReply, QUEUE_DEPTH_EDGES};
 use crate::protocol::{self, FrameError, Status};
 use crate::registry::{Lease, ModelEntry, ModelRegistry, ModelVersion};
 use crate::sys::{
     epoll_create, epoll_ctl, epoll_wait, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT,
     EPOLLRDHUP, EPOLL_CTL_ADD, EPOLL_CTL_DEL, EPOLL_CTL_MOD,
 };
+use qsnc_tensor::Tensor;
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, OwnedFd};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -97,13 +110,24 @@ const CONN_ACTIVE_EDGES: &[f64] = &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0,
 /// Histogram edges for the `serve.conn.inflight` gauge.
 const CONN_INFLIGHT_EDGES: &[f64] = &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
 
-/// Front-end parameters resolved by [`crate::Server::spawn`].
+/// Histogram edges for `serve.batch.size`.
+const BATCH_SIZE_EDGES: &[f64] = &[2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
+
+/// Histogram edges for `serve.queue.depth`.
+const QUEUE_DEPTH_EDGES: &[f64] = &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0];
+
+/// Loop parameters resolved by [`crate::Server::spawn`].
 #[derive(Clone)]
 pub(crate) struct LoopConfig {
     /// The model table: frames resolve their model id (default for v1/v2)
     /// against it, payloads are validated against the resolved engine's
     /// input length, and admission leases the engine snapshot.
     pub(crate) registry: Arc<ModelRegistry>,
+    /// Largest batch the loop runs in one engine call.
+    pub(crate) max_batch: usize,
+    /// Admitted requests a loop may hold pending at once; past it
+    /// admission answers [`Status::Busy`].
+    pub(crate) queue_cap: usize,
     /// In-flight request budget per connection (tagged + untagged).
     pub(crate) max_inflight: usize,
     /// Process-wide connection cap across all loops; an accept while this
@@ -113,11 +137,10 @@ pub(crate) struct LoopConfig {
     pub(crate) slow_us: Option<u64>,
 }
 
-/// The half of an event loop that other threads touch: workers push
-/// completions here, loop 0 pushes handed-off connections, and
-/// [`crate::Server::drain`] wakes the loop.
+/// The half of an event loop that other threads touch: loop 0 pushes
+/// handed-off connections here, and [`crate::Server::drain`] wakes the
+/// loop.
 pub(crate) struct LoopShared {
-    completions: Mutex<Vec<Completion>>,
     inbound: Mutex<Vec<TcpStream>>,
     wake_tx: UnixStream,
     #[cfg(test)]
@@ -131,28 +154,6 @@ impl LoopShared {
         let _ = (&self.wake_tx).write(&[1u8]);
     }
 
-    /// Queues a batch's finished replies for the owning loop under one lock
-    /// and wakes it once, leaving `done` empty.
-    pub(crate) fn complete_all(&self, done: &mut Vec<Completion>) {
-        if let Ok(mut q) = self.completions.lock() {
-            q.append(done);
-        }
-        self.wake();
-    }
-
-    /// A shared half with no loop behind it, for unit tests that build
-    /// [`Request`]s without running a server.
-    #[cfg(test)]
-    pub(crate) fn detached() -> Arc<LoopShared> {
-        let (_, wake_tx) = UnixStream::pair().expect("socket pair");
-        Arc::new(LoopShared {
-            completions: Mutex::new(Vec::new()),
-            inbound: Mutex::new(Vec::new()),
-            wake_tx,
-            hooks: Default::default(),
-        })
-    }
-
     fn push_inbound(&self, stream: TcpStream) {
         if let Ok(mut q) = self.inbound.lock() {
             q.push(stream);
@@ -161,24 +162,53 @@ impl LoopShared {
     }
 }
 
-/// A finished inference travelling from a worker back to the loop that
-/// owns the connection.
-pub(crate) struct Completion {
-    /// Connection slot index on the owning loop.
-    pub(crate) conn: u32,
-    /// Slot generation at admission time; a mismatch means the connection
-    /// died first and the reply is dropped.
-    pub(crate) generation: u32,
-    /// The client's request tag (`None` for v1 frames).
-    pub(crate) tag: Option<u32>,
-    /// The inference result plus worker-side stage timings.
-    pub(crate) reply: WorkerReply,
+/// One admitted request waiting on its loop for the next batch.
+struct Pending {
+    /// Decoded input example.
+    input: Vec<f32>,
+    /// The model entry + engine version resolved **at admission**, so a
+    /// hot swap before the batch runs never changes which engine serves
+    /// the request.
+    lease: Lease,
+    /// Connection slot index on this loop.
+    conn: u32,
+    /// Slot generation at admission; a mismatch means the connection died
+    /// first and the reply is dropped.
+    generation: u32,
+    /// The client's request tag (`None` for a v1 frame).
+    tag: Option<u32>,
     /// Admission timestamp (`serve.latency_us` start).
-    pub(crate) enqueued: Instant,
-    /// Front-end decode time for the slow trace.
-    pub(crate) decode_us: u64,
-    /// Process-wide request id for the slow trace.
-    pub(crate) id: u64,
+    enqueued: Instant,
+    /// Decode time for the slow trace (zero when telemetry is off).
+    decode_us: u64,
+    /// Process-wide request id for the slow trace (zero when telemetry is
+    /// off).
+    id: u64,
+}
+
+/// Moves the next batch off the front of `queue` into `batch`: up to
+/// `max_batch` requests in arrival order, ending at the first request
+/// leased to a different engine version than the opener (it opens the
+/// next batch). One batch is one engine snapshot and one
+/// `infer_batch_into` call.
+fn next_batch(queue: &mut Vec<Pending>, batch: &mut Vec<Pending>, max_batch: usize) {
+    let Some(first) = queue.first() else { return };
+    let n =
+        queue.iter().take(max_batch).take_while(|r| r.lease.same_version(&first.lease)).count();
+    batch.extend(queue.drain(..n));
+}
+
+/// Same tie-breaking as `Tensor::argmax` (lowest index wins).
+fn argmax_slice(v: &[f32]) -> usize {
+    let mut best = 0;
+    let mut best_v = f32::NEG_INFINITY;
+    for (i, &x) in v.iter().enumerate() {
+        if x > best_v {
+            best_v = x;
+            best = i;
+        }
+    }
+    best
 }
 
 /// Turns a connection away with an untagged [`Status::Busy`] reply (a
@@ -242,16 +272,26 @@ struct EventLoop {
     peers: Vec<Arc<LoopShared>>,
     listener: Option<TcpListener>,
     conns: Vec<Option<Conn>>,
-    /// Slot generations (bumped on free so stale completions miss).
+    /// Slot generations (bumped on free so stale replies miss).
     gens: Vec<u32>,
     free: Vec<u32>,
-    /// Admitted-but-unanswered requests across this loop's connections.
-    inflight: usize,
+    /// Admitted requests not yet run, in arrival order.
+    pending: Vec<Pending>,
+    /// The batch being run (kept to reuse its capacity).
+    batch: Vec<Pending>,
+    /// Connections a batch wrote replies to, settled once per batch.
+    touched: Vec<usize>,
+    /// One cached input tensor per (input shape, batch size): once each
+    /// combination has been seen, packing + inference allocate nothing.
+    /// Keyed by shape because models can differ in dims.
+    tensors: HashMap<Vec<usize>, Vec<Option<Tensor>>>,
+    /// The engine's output for the batch being answered.
+    out: Vec<f32>,
+    /// Microseconds this round spent in engine calls (telemetry only).
+    engine_us: u64,
     next_rr: usize,
     cfg: LoopConfig,
     running: Arc<AtomicBool>,
-    req_tx: SyncSender<Request>,
-    depth: Arc<AtomicUsize>,
     /// Process-wide open-connection count (shared across loops): raised
     /// by loop 0 at accept, lowered when a connection is dropped or fails
     /// to register.
@@ -269,8 +309,6 @@ pub(crate) fn spawn(
     loops: usize,
     cfg: LoopConfig,
     running: Arc<AtomicBool>,
-    req_tx: SyncSender<Request>,
-    depth: Arc<AtomicUsize>,
 ) -> io::Result<SpawnedLoops> {
     listener.set_nonblocking(true)?;
     let active = Arc::new(AtomicUsize::new(0));
@@ -281,7 +319,6 @@ pub(crate) fn spawn(
         wake_rx.set_nonblocking(true)?;
         wake_tx.set_nonblocking(true)?;
         shareds.push(Arc::new(LoopShared {
-            completions: Mutex::new(Vec::new()),
             inbound: Mutex::new(Vec::new()),
             wake_tx,
             #[cfg(test)]
@@ -310,12 +347,15 @@ pub(crate) fn spawn(
             conns: Vec::new(),
             gens: Vec::new(),
             free: Vec::new(),
-            inflight: 0,
+            pending: Vec::new(),
+            batch: Vec::new(),
+            touched: Vec::new(),
+            tensors: HashMap::new(),
+            out: Vec::new(),
+            engine_us: 0,
             next_rr: 0,
             cfg: cfg.clone(),
             running: Arc::clone(&running),
-            req_tx: req_tx.clone(),
-            depth: Arc::clone(&depth),
             active: Arc::clone(&active),
             draining: None,
         };
@@ -333,10 +373,18 @@ impl EventLoop {
         let mut events = [EpollEvent::zeroed(); MAX_EVENTS];
         loop {
             // Block indefinitely while serving — every state change that
-            // matters arrives as an event (sockets, wakeup pipe). While
-            // draining, poll so the flush deadline is honored even if a
-            // slow reader never becomes writable.
-            let timeout_ms = if self.draining.is_some() { 100 } else { -1 };
+            // matters arrives as an event (sockets, wakeup pipe). Requests
+            // admitted while the last round's replies settled only need a
+            // poll before they run. While draining, poll so the flush
+            // deadline is honored even if a slow reader never becomes
+            // writable.
+            let timeout_ms = if !self.pending.is_empty() && !self.held() {
+                0
+            } else if self.draining.is_some() {
+                100
+            } else {
+                -1
+            };
             let n = match epoll_wait(self.ep.as_raw_fd(), &mut events, timeout_ms) {
                 Ok(n) => n,
                 Err(_) => break, // epoll fd itself failed: unrecoverable
@@ -358,15 +406,16 @@ impl EventLoop {
                 }
             }
             self.adopt_inbound();
-            self.process_completions();
+            self.run_pending();
             if self.draining.is_none() && !self.running.load(Ordering::SeqCst) {
                 self.begin_drain();
             }
+            // Dispatch is the loop's own work: the engine calls of the
+            // round are in serve.stage.infer.us.
+            let engine_us = std::mem::take(&mut self.engine_us);
             if let Some(t0) = t0 {
-                qsnc_telemetry::quantile_observe(
-                    "serve.loop.dispatch.us",
-                    t0.elapsed().as_micros() as f64,
-                );
+                let dispatch_us = (t0.elapsed().as_micros() as u64).saturating_sub(engine_us);
+                qsnc_telemetry::quantile_observe("serve.loop.dispatch.us", dispatch_us as f64);
             }
             if self.draining.is_some() && self.try_finish_drain() {
                 break;
@@ -482,10 +531,8 @@ impl EventLoop {
     }
 
     fn drop_conn(&mut self, idx: usize, conn: Conn) {
-        // Requests this connection still has in flight will complete and
-        // be discarded by the generation check; account for them now so
-        // the drain criterion cannot wedge on a dead client.
-        self.inflight -= conn.inflight();
+        // Requests this connection still has pending run, and the bumped
+        // generation discards their replies.
         let _ = epoll_ctl(self.ep.as_raw_fd(), EPOLL_CTL_DEL, conn.stream.as_raw_fd(), 0, 0);
         self.gens[idx] = self.gens[idx].wrapping_add(1);
         self.free.push(idx as u32);
@@ -779,61 +826,42 @@ impl EventLoop {
             );
             return;
         };
+        if self.pending.len() >= self.cfg.queue_cap {
+            qsnc_telemetry::counter_add("serve.rejected", 1);
+            protocol::encode_error_reply(
+                &mut conn.out,
+                tag,
+                Status::Busy,
+                "request queue full (backpressure): retry",
+            );
+            return;
+        }
         let id = if tele { crate::next_request_id() } else { 0 };
-        let enqueued = Instant::now();
-        // Count before sending so a worker's decrement can never
-        // observe the admission before the gauge does.
-        let occupied = self.depth.fetch_add(1, Ordering::Relaxed) + 1;
-        let req = Request {
+        self.pending.push(Pending {
             input,
-            lease: Some(lease),
-            shared: Arc::clone(&self.shared),
+            lease,
             conn: idx as u32,
             generation: conn.generation,
             tag,
-            enqueued,
+            enqueued: Instant::now(),
             decode_us,
             id,
-        };
-        match self.req_tx.try_send(req) {
-            Ok(()) => {
-                self.inflight += 1;
-                match tag {
-                    Some(t) => conn.tags.push(t),
-                    None => conn.untagged += 1,
-                }
-                if tele {
-                    qsnc_telemetry::counter_add("serve.requests", 1);
-                    qsnc_telemetry::counter_add(&entry.tele_requests, 1);
-                    qsnc_telemetry::quantile_observe("serve.stage.decode.us", decode_us as f64);
-                    qsnc_telemetry::observe("serve.queue.depth", occupied as f64, QUEUE_DEPTH_EDGES);
-                    qsnc_telemetry::observe(
-                        "serve.conn.inflight",
-                        conn.inflight() as f64,
-                        CONN_INFLIGHT_EDGES,
-                    );
-                }
-            }
-            Err(TrySendError::Full(_)) => {
-                self.depth.fetch_sub(1, Ordering::Relaxed);
-                qsnc_telemetry::counter_add("serve.rejected", 1);
-                protocol::encode_error_reply(
-                    &mut conn.out,
-                    tag,
-                    Status::Busy,
-                    "request queue full (backpressure): retry",
-                );
-            }
-            Err(TrySendError::Disconnected(_)) => {
-                self.depth.fetch_sub(1, Ordering::Relaxed);
-                protocol::encode_error_reply(
-                    &mut conn.out,
-                    tag,
-                    Status::ShuttingDown,
-                    "server shutting down",
-                );
-                conn.closing = true;
-            }
+        });
+        match tag {
+            Some(t) => conn.tags.push(t),
+            None => conn.untagged += 1,
+        }
+        if tele {
+            qsnc_telemetry::counter_add("serve.requests", 1);
+            qsnc_telemetry::counter_add(&entry.tele_requests, 1);
+            qsnc_telemetry::quantile_observe("serve.stage.decode.us", decode_us as f64);
+            let depth = self.pending.len() as f64;
+            qsnc_telemetry::observe("serve.queue.depth", depth, QUEUE_DEPTH_EDGES);
+            qsnc_telemetry::observe(
+                "serve.conn.inflight",
+                conn.inflight() as f64,
+                CONN_INFLIGHT_EDGES,
+            );
         }
     }
 
@@ -861,7 +889,7 @@ impl EventLoop {
         true
     }
 
-    // ---- completions ---------------------------------------------------
+    // ---- wakeups ------------------------------------------------------
 
     fn drain_wake_pipe(&mut self) {
         let mut buf = [0u8; 64];
@@ -875,25 +903,91 @@ impl EventLoop {
         }
     }
 
-    fn process_completions(&mut self) {
-        let mut batch = match self.shared.completions.lock() {
-            Ok(mut q) => std::mem::take(&mut *q),
-            Err(_) => return, // a worker panicked mid-push; nothing to do
-        };
-        if batch.is_empty() {
+    // ---- batches -------------------------------------------------------
+
+    /// True while a test keeps admitted requests pending.
+    fn held(&self) -> bool {
+        #[cfg(test)]
+        return self.shared.hooks.hold.load(Ordering::SeqCst);
+        #[cfg(not(test))]
+        false
+    }
+
+    /// Runs every request admitted so far, batch by batch in arrival
+    /// order. Requests admitted while the replies settle wait for the next
+    /// round, so one busy connection cannot starve the loop's I/O.
+    fn run_pending(&mut self) {
+        if self.pending.is_empty() || self.held() {
             return;
         }
+        let mut queue = std::mem::take(&mut self.pending);
+        let mut batch = std::mem::take(&mut self.batch);
+        while !queue.is_empty() {
+            next_batch(&mut queue, &mut batch, self.cfg.max_batch);
+            self.run_batch(&mut batch);
+        }
+        self.batch = batch;
+        queue.append(&mut self.pending);
+        self.pending = queue;
+    }
+
+    /// Runs one version-homogeneous batch through the engine and encodes
+    /// each reply into its connection's output buffer, leaving `batch`
+    /// empty.
+    fn run_batch(&mut self, batch: &mut Vec<Pending>) {
+        let b = batch.len();
+        #[cfg(test)]
+        self.shared.hooks.batches.lock().unwrap().push(b);
         let tele = qsnc_telemetry::enabled();
-        qsnc_telemetry::counter_add("serve.loop.completions", batch.len() as u64);
-        for c in batch.drain(..) {
-            let idx = c.conn as usize;
-            let Some(slot) = self.conns.get_mut(idx) else { continue };
-            let Some(mut conn) = slot.take() else { continue };
-            if conn.generation != c.generation {
-                *slot = Some(conn); // connection died; drop the reply
-                continue;
+        // Queue time ends when the batch starts.
+        let started = tele.then(Instant::now);
+        let entry = Arc::clone(batch[0].lease.entry());
+        let version = Arc::clone(batch[0].lease.version());
+        let input_len = version.input_len;
+        if !self.tensors.contains_key(&version.input_dims) {
+            let sizes = (0..=self.cfg.max_batch).map(|_| None).collect();
+            self.tensors.insert(version.input_dims.clone(), sizes);
+        }
+        let cache = self.tensors.get_mut(&version.input_dims).expect("inserted above");
+        let xs = cache[b].get_or_insert_with(|| {
+            let mut dims = vec![b];
+            dims.extend_from_slice(&version.input_dims);
+            Tensor::from_vec(vec![0.0; b * input_len], dims)
+        });
+        for (dst, req) in xs.as_mut_slice().chunks_exact_mut(input_len).zip(batch.iter()) {
+            dst.copy_from_slice(&req.input);
+        }
+        // The loops already keep that many cores busy, so each runs the
+        // engine on its share of the process-wide thread budget; two loops
+        // contending for one pool would stall each other's batches.
+        let threads = (qsnc_tensor::parallel::num_threads() / self.peers.len()).max(1);
+        let t_infer = tele.then(Instant::now);
+        qsnc_tensor::parallel::with_num_threads(threads, || {
+            version.network.infer_batch_into(xs, &mut self.out);
+        });
+        // The batched engine call is shared: infer_us is recorded once per
+        // batch in the sketch but attached to every request's trace.
+        let infer_us = t_infer.map_or(0, |t| t.elapsed().as_micros() as u64);
+        self.engine_us += infer_us;
+        if tele {
+            qsnc_telemetry::counter_add("serve.batches", 1);
+            qsnc_telemetry::observe("serve.batch.size", b as f64, BATCH_SIZE_EDGES);
+            qsnc_telemetry::quantile_observe("serve.stage.infer.us", infer_us as f64);
+            qsnc_telemetry::quantile_observe(&entry.tele_infer_us, infer_us as f64);
+        }
+        let stride = self.out.len() / b;
+        for (req, logits) in batch.drain(..).zip(self.out.chunks_exact(stride)) {
+            let queue_us =
+                started.map_or(0, |t| t.saturating_duration_since(req.enqueued).as_micros() as u64);
+            // The lease drops before the reply is encoded, so the client
+            // can never see its reply while the quota still counts it.
+            drop(req.lease);
+            let idx = req.conn as usize;
+            let Some(Some(conn)) = self.conns.get_mut(idx) else { continue };
+            if conn.generation != req.generation {
+                continue; // the connection died; drop the reply
             }
-            match c.tag {
+            match req.tag {
                 Some(t) => {
                     if let Some(p) = conn.tags.iter().position(|&x| x == t) {
                         conn.tags.swap_remove(p);
@@ -901,41 +995,42 @@ impl EventLoop {
                 }
                 None => conn.untagged = conn.untagged.saturating_sub(1),
             }
-            self.inflight -= 1;
             let t_encode = tele.then(Instant::now);
-            protocol::encode_ok_reply(&mut conn.out, c.tag, c.reply.argmax, &c.reply.logits);
-            if let Some(t_encode) = t_encode {
-                let encode_us = t_encode.elapsed().as_micros() as u64;
-                let total_us = c.enqueued.elapsed().as_micros() as u64;
-                qsnc_telemetry::quantile_observe("serve.stage.encode.us", encode_us as f64);
-                qsnc_telemetry::quantile_observe("serve.latency_us", total_us as f64);
-                if self.cfg.slow_us.is_some_and(|slow| total_us >= slow) {
-                    qsnc_telemetry::flight_record(
-                        "serve.slow",
-                        c.id,
-                        &[
-                            ("decode_us", c.decode_us),
-                            ("queue_us", c.reply.queue_us),
-                            ("infer_us", c.reply.infer_us),
-                            ("encode_us", encode_us),
-                            ("total_us", total_us),
-                            ("batch", u64::from(c.reply.batch)),
-                        ],
-                    );
-                }
+            protocol::encode_ok_reply(&mut conn.out, req.tag, argmax_slice(logits) as u32, logits);
+            if !self.touched.contains(&idx) {
+                self.touched.push(idx);
             }
-            // settle flushes the reply out and — because an answered v1
-            // request lifts the lockstep gate — re-parses frames that were
-            // buffered behind it.
-            self.settle(idx, conn, true);
-        }
-        // Hand the emptied buffer back so the completion queue reuses its
-        // capacity instead of reallocating every batch.
-        if let Ok(mut q) = self.shared.completions.lock() {
-            if q.is_empty() {
-                *q = batch;
+            let Some(t_encode) = t_encode else { continue };
+            let encode_us = t_encode.elapsed().as_micros() as u64;
+            let total_us = req.enqueued.elapsed().as_micros() as u64;
+            qsnc_telemetry::quantile_observe("serve.stage.queue.us", queue_us as f64);
+            qsnc_telemetry::quantile_observe("serve.stage.encode.us", encode_us as f64);
+            qsnc_telemetry::quantile_observe("serve.latency_us", total_us as f64);
+            if self.cfg.slow_us.is_some_and(|slow| total_us >= slow) {
+                qsnc_telemetry::flight_record(
+                    "serve.slow",
+                    req.id,
+                    &[
+                        ("decode_us", req.decode_us),
+                        ("queue_us", queue_us),
+                        ("infer_us", infer_us),
+                        ("encode_us", encode_us),
+                        ("total_us", total_us),
+                        ("batch", b as u64),
+                    ],
+                );
             }
         }
+        // settle flushes the replies out and — because an answered v1
+        // request lifts the lockstep gate — re-parses frames that were
+        // buffered behind them.
+        let mut touched = std::mem::take(&mut self.touched);
+        for idx in touched.drain(..) {
+            if let Some(conn) = self.conns[idx].take() {
+                self.settle(idx, conn, true);
+            }
+        }
+        self.touched = touched;
     }
 
     // ---- drain ---------------------------------------------------------
@@ -960,7 +1055,7 @@ impl EventLoop {
         let deadline_passed = self
             .draining
             .is_some_and(|t| t.elapsed() > DRAIN_FLUSH_LIMIT);
-        let owed = self.inflight > 0
+        let owed = !self.pending.is_empty()
             || self
                 .conns
                 .iter()
@@ -975,5 +1070,78 @@ impl EventLoop {
             }
         }
         true
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::registry::ModelSpec;
+
+    /// A registry serving one network under two names, so requests can be
+    /// leased to two different engine versions.
+    fn registry() -> ModelRegistry {
+        let snn = crate::inflight_tests::served_network(3);
+        let dims = vec![1, 28, 28];
+        let specs = vec![
+            ModelSpec::new("a", Arc::clone(&snn), dims.clone()),
+            ModelSpec::new("b", snn, dims),
+        ];
+        ModelRegistry::new(specs, None, Duration::from_secs(1)).unwrap()
+    }
+
+    /// A request for `model` whose one-element input `v` identifies it.
+    fn pending(registry: &ModelRegistry, model: u32, v: f32) -> Pending {
+        let (entry, version) = registry.resolve(Some(model)).expect("registered model");
+        Pending {
+            input: vec![v],
+            lease: Lease::acquire(&entry, &version).expect("no quota"),
+            conn: 0,
+            generation: 0,
+            tag: None,
+            enqueued: Instant::now(),
+            decode_us: 0,
+            id: 0,
+        }
+    }
+
+    /// Cuts `queue` into batches the way a loop does, returning each
+    /// batch's inputs.
+    fn batches(mut queue: Vec<Pending>, max_batch: usize) -> Vec<Vec<f32>> {
+        let mut out = Vec::new();
+        let mut batch = Vec::new();
+        while !queue.is_empty() {
+            next_batch(&mut queue, &mut batch, max_batch);
+            out.push(batch.drain(..).map(|r| r.input[0]).collect());
+        }
+        out
+    }
+
+    #[test]
+    fn lone_request_is_a_batch_of_one() {
+        let registry = registry();
+        assert_eq!(batches(vec![pending(&registry, 0, 7.0)], 8), vec![vec![7.0]]);
+        assert!(batches(Vec::new(), 8).is_empty());
+    }
+
+    #[test]
+    fn a_batch_takes_at_most_max_batch_in_arrival_order() {
+        let registry = registry();
+        let queue = (0..5).map(|i| pending(&registry, 0, i as f32)).collect();
+        assert_eq!(
+            batches(queue, 3),
+            vec![vec![0.0, 1.0, 2.0], vec![3.0, 4.0]],
+            "a full batch in arrival order, then what is left"
+        );
+    }
+
+    #[test]
+    fn version_change_ends_the_batch_and_opens_the_next() {
+        let registry = registry();
+        let queue = [(0, 0.0), (0, 1.0), (1, 2.0), (1, 3.0), (0, 4.0)]
+            .into_iter()
+            .map(|(model, v)| pending(&registry, model, v))
+            .collect();
+        assert_eq!(batches(queue, 8), vec![vec![0.0, 1.0], vec![2.0, 3.0], vec![4.0]]);
     }
 }

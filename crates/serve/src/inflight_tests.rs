@@ -1,13 +1,14 @@
 //! Socket-level tests that need requests to stay in flight.
 //!
-//! Workers run a request the moment they are free, so nothing on the wire
-//! keeps one pending. These tests close the event loop's [`WorkerGate`]
-//! instead: a worker that has taken a request from that loop waits before
-//! running it, and every admitted request stays in flight (lease held,
-//! reply owed) until the test releases the hold. Each test then checks a
-//! behaviour that only exists while replies are pending: duplicate live
-//! tags, the in-flight budget, a fatal frame mid-pipeline, a half-close,
-//! the drain and the per-model quota. Every server here runs one loop.
+//! An event loop runs what it admits at the end of the same epoll round,
+//! so nothing on the wire keeps a request pending. These tests close the
+//! loop's hold instead: the loop keeps admitting and doing I/O, but every
+//! admitted request stays pending (lease held, reply owed) until the test
+//! opens the hold, which wakes the loop. Each test then checks a behaviour
+//! that only exists while replies are pending: duplicate live tags, the
+//! in-flight budget, a fatal frame mid-pipeline, a half-close, the drain,
+//! the per-model quota and batching across connections. Every server here
+//! runs one loop.
 
 use crate::event_loop::LoopShared;
 use crate::protocol::{self, Reply, Status, MAGIC, OP_INFER, VERSION_V2};
@@ -20,8 +21,8 @@ use qsnc_quant::{
 use qsnc_tensor::{Tensor, TensorRng};
 use std::io::Write;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 const INPUT_DIMS: [usize; 3] = [1, 28, 28];
@@ -29,49 +30,36 @@ const INPUT_DIMS: [usize; 3] = [1, 28, 28];
 /// Test-only state every event loop's shared half carries.
 #[derive(Default)]
 pub(crate) struct Hooks {
-    /// Holds workers between taking this loop's requests and running them.
-    pub(crate) gate: WorkerGate,
+    /// While set, the loop keeps admitted requests pending instead of
+    /// running them; it still reads, parses, admits and flushes.
+    pub(crate) hold: AtomicBool,
     /// Peer EOFs the loop has read, so a test can tell a half-close landed.
     pub(crate) eofs: AtomicUsize,
+    /// The size of every batch the loop has run, in order.
+    pub(crate) batches: Mutex<Vec<usize>>,
 }
 
-/// While closed, a worker that has taken a request waits before running
-/// it, so the request stays in flight.
-#[derive(Default)]
-pub(crate) struct WorkerGate {
-    closed: Mutex<bool>,
-    opened: Condvar,
-}
-
-impl WorkerGate {
-    fn set_closed(&self, closed: bool) {
-        *self.closed.lock().unwrap() = closed;
-        self.opened.notify_all();
-    }
-
-    pub(crate) fn pass(&self) {
-        let mut closed = self.closed.lock().unwrap();
-        while *closed {
-            closed = self.opened.wait(closed).unwrap();
-        }
-    }
-}
-
-/// Keeps the server's workers from running anything they take; dropping
-/// it (also on a failed assertion) lets them go.
+/// Keeps loop 0 from running what it admits; dropping it (also on a
+/// failed assertion) opens the hold and wakes the loop.
 struct Hold(Arc<LoopShared>);
 
 impl Drop for Hold {
     fn drop(&mut self) {
-        self.0.hooks.gate.set_closed(false);
+        self.0.hooks.hold.store(false, Ordering::SeqCst);
+        self.0.wake();
     }
 }
 
 impl Server {
-    fn hold_workers(&self) -> Hold {
+    fn hold_loop(&self) -> Hold {
         let shared = Arc::clone(&self.shareds[0]);
-        shared.hooks.gate.set_closed(true);
+        shared.hooks.hold.store(true, Ordering::SeqCst);
         Hold(shared)
+    }
+
+    /// The size of every batch loop 0 has run, in order.
+    fn batches(&self) -> Vec<usize> {
+        self.shareds[0].hooks.batches.lock().unwrap().clone()
     }
 
     /// Requests admitted and not yet answered, across every model.
@@ -117,6 +105,11 @@ fn connect(server: &Server) -> TcpStream {
     let stream = TcpStream::connect(server.local_addr()).expect("connect");
     stream.set_read_timeout(Some(Duration::from_secs(30))).expect("read timeout");
     stream
+}
+
+/// One loop, so the hold and the batch log cover every connection.
+fn one_loop() -> ServeConfig {
+    ServeConfig { loops: 1, ..ServeConfig::default() }
 }
 
 fn spawn(seed: u64, config: ServeConfig) -> (Arc<SpikingNetwork>, Server) {
@@ -166,11 +159,14 @@ fn ok_tags(snn: &SpikingNetwork, inputs: &[Vec<f32>], replies: &[Reply]) -> Vec<
 /// completes, and once it has replied the tag is free for reuse.
 #[test]
 fn duplicate_live_tag_is_rejected_then_reusable() {
-    let (snn, server) = spawn(43, ServeConfig::default());
-    let hold = server.hold_workers();
+    let (snn, server) = spawn(43, one_loop());
+    let hold = server.hold_loop();
     let input = example(4300);
     let mut stream = connect(&server);
     protocol::write_request_tagged(&mut stream, 9, &input).expect("first");
+    // Sent only once the original is admitted, so nothing but the hold
+    // keeps the original in flight when the duplicate arrives.
+    wait_until("the original is admitted", || server.inflight() == 1);
     protocol::write_request_tagged(&mut stream, 9, &input).expect("duplicate");
 
     // The duplicate bounces while the original is held in flight.
@@ -199,13 +195,16 @@ fn duplicate_live_tag_is_rejected_then_reusable() {
 /// the tag field exists for.
 #[test]
 fn inflight_budget_answers_busy_with_the_offending_tag() {
-    let config = ServeConfig { max_inflight_per_conn: 2, ..ServeConfig::default() };
+    let config = ServeConfig { max_inflight_per_conn: 2, ..one_loop() };
     let (_, server) = spawn(61, config);
-    let hold = server.hold_workers();
+    let hold = server.hold_loop();
     let input = example(6100);
     let mut stream = connect(&server);
     for tag in 0..8u32 {
         protocol::write_request_tagged(&mut stream, tag, &input).expect("write");
+        if tag == 1 {
+            wait_until("the budget is full", || server.inflight() == 2);
+        }
     }
 
     // Tags 0 and 1 fill the budget and are held; the rest bounce first.
@@ -240,13 +239,14 @@ fn inflight_budget_answers_busy_with_the_offending_tag() {
 /// died), and close — without panicking a loop.
 #[test]
 fn oversized_tagged_frame_mid_pipeline_errors_and_closes() {
-    let (snn, server) = spawn(53, ServeConfig::default());
-    let hold = server.hold_workers();
+    let (snn, server) = spawn(53, one_loop());
+    let hold = server.hold_loop();
     let mut stream = connect(&server);
     let inputs: Vec<Vec<f32>> = (0..3).map(|i| example(5300 + i)).collect();
     for (tag, input) in inputs.iter().enumerate() {
         protocol::write_request_tagged(&mut stream, tag as u32, input).expect("write");
     }
+    wait_until("all three are admitted", || server.inflight() == 3);
     // A v2 header declaring a payload over the frame cap.
     let mut poison = Vec::new();
     poison.extend_from_slice(&MAGIC.to_le_bytes());
@@ -273,8 +273,8 @@ fn oversized_tagged_frame_mid_pipeline_errors_and_closes() {
 /// must still receive all of them before the server closes its side.
 #[test]
 fn half_close_with_replies_pending_still_answers_all() {
-    let (snn, server) = spawn(59, ServeConfig::default());
-    let hold = server.hold_workers();
+    let (snn, server) = spawn(59, one_loop());
+    let hold = server.hold_loop();
     let mut stream = connect(&server);
     let inputs: Vec<Vec<f32>> = (0..5).map(|i| example(5900 + i)).collect();
     for (tag, input) in inputs.iter().enumerate() {
@@ -296,8 +296,8 @@ fn half_close_with_replies_pending_still_answers_all() {
 /// then closes the connection.
 #[test]
 fn drain_answers_every_admitted_tagged_request() {
-    let (snn, server) = spawn(67, ServeConfig::default());
-    let hold = server.hold_workers();
+    let (snn, server) = spawn(67, one_loop());
+    let hold = server.hold_loop();
     let inputs: Vec<Vec<f32>> = (0..6).map(|i| example(6700 + i)).collect();
     let mut stream = connect(&server);
     for (tag, input) in inputs.iter().enumerate() {
@@ -323,11 +323,11 @@ fn per_model_quota_answers_busy_and_recovers() {
     let server = Server::spawn_models(
         vec![ModelSpec::new("prod", Arc::clone(&snn), INPUT_DIMS.to_vec()).with_quota(1)],
         "127.0.0.1:0",
-        ServeConfig::default(),
+        one_loop(),
     )
     .expect("spawn");
     // Quota 1: the held request keeps its lease, so a second one bounces.
-    let hold = server.hold_workers();
+    let hold = server.hold_loop();
     let input = example(42);
     let mut holder = connect(&server);
     protocol::write_request(&mut holder, &input).expect("holder write");
@@ -351,5 +351,35 @@ fn per_model_quota_answers_busy_and_recovers() {
     assert_eq!(reply.status, Status::Ok, "{}", reply.message);
     drop(holder);
     drop(probe);
+    server.shutdown();
+}
+
+/// Requests admitted together on different connections of one loop run
+/// as one batch, each reply bit-identical to the reference; a lone
+/// request then runs at once as a batch of one.
+#[test]
+fn requests_on_separate_connections_run_as_one_batch() {
+    let (snn, server) = spawn(71, one_loop());
+    let hold = server.hold_loop();
+    let inputs: Vec<Vec<f32>> = (0..3).map(|i| example(7100 + i)).collect();
+    let mut streams: Vec<TcpStream> = (0..3).map(|_| connect(&server)).collect();
+    for (tag, (stream, input)) in streams.iter_mut().zip(&inputs).enumerate() {
+        protocol::write_request_tagged(stream, tag as u32, input).expect("write");
+    }
+    wait_until("all three are admitted", || server.inflight() == 3);
+    assert!(server.batches().is_empty(), "the hold keeps every request pending");
+    drop(hold);
+
+    let replies: Vec<Reply> =
+        streams.iter_mut().map(|s| protocol::read_reply(s).expect("reply")).collect();
+    assert_eq!(ok_tags(&snn, &inputs, &replies), vec![0, 1, 2]);
+    assert_eq!(server.batches(), vec![3], "three connections, one engine call");
+
+    // Alone on an idle loop, a request runs the round it arrives in.
+    protocol::write_request_tagged(&mut streams[1], 1, &inputs[1]).expect("lone write");
+    let lone = protocol::read_reply(&mut streams[1]).expect("lone reply");
+    assert_eq!(ok_tags(&snn, &inputs, &[lone]), vec![1]);
+    assert_eq!(server.batches(), vec![3, 1]);
+    drop(streams);
     server.shutdown();
 }

@@ -6,8 +6,8 @@
 //! (the epoll front end issues its three syscalls with inline assembly
 //! rather than pulling in `libc`).
 //!
-//! The front end is a small number of epoll readiness loops that own
-//! every client socket non-blocking. Protocol v2 frames carry a request
+//! The server is a small number of epoll event loops that own every
+//! client socket non-blocking and run the engine themselves. Protocol v2 frames carry a request
 //! *tag*, so one connection can hold many requests in flight and take
 //! replies out of order ([`protocol::write_request_tagged`]); v1 untagged
 //! lockstep frames keep working unchanged on the same port.
@@ -17,31 +17,30 @@
 //! pauses reads from that client until it drains. The crate issues the
 //! epoll syscalls itself, so it builds only on Linux x86-64 and aarch64.
 //!
-//! One request's journey:
+//! One request's journey, all on the event loop that owns its connection:
 //!
-//! 1. The owning event loop decodes a length-prefixed binary frame
-//!    ([`protocol`]) and admits the request to a **bounded queue**. A full
-//!    queue answers [`Status::Busy`] immediately — explicit backpressure
-//!    instead of unbounded buffering.
-//! 2. A free **worker** pulls straight from that queue:
-//!    it blocks for the first request, then takes whatever else is already
-//!    queued, up to `max_batch`. No timer holds a lone request back, and
-//!    batches grow only while every worker is busy.
-//! 3. The worker packs the batch into a `[B, …]` tensor and drives
+//! 1. The loop decodes a length-prefixed binary frame ([`protocol`]) and
+//!    admits the request to its **pending list**, which is bounded
+//!    ([`ServeConfig::queue_cap`]): a full list answers [`Status::Busy`]
+//!    immediately — explicit backpressure instead of unbounded buffering.
+//! 2. After the epoll round, the loop cuts what it admitted into batches
+//!    of at most `max_batch`, in arrival order. No timer holds a lone
+//!    request back; batches grow only with requests that arrive together.
+//! 3. The loop packs each batch into a `[B, …]` tensor and drives
 //!    [`SpikingNetwork::infer_batch_into`]: every reply is bit-identical
 //!    to `SpikingNetwork::infer_reference` — at any `QSNC_SIMD` level the
 //!    integer kernels dispatch to (`qsnc_tensor::simd`) — and steady-state
 //!    serving at a warm batch size performs zero fresh scratch allocations
-//!    (workers are persistent threads, so the `qsnc_tensor::scratch` arena
+//!    (loops are persistent threads, so the `qsnc_tensor::scratch` arena
 //!    stays warm).
-//! 4. The batch's results return to each owning loop's completion queue
-//!    under one lock with one wakeup byte per loop; the loop encodes the
-//!    logits + argmax frame, echoing the request's tag.
+//! 4. The loop encodes each logits + argmax frame straight from the
+//!    engine's output into the connection's buffer, echoing the request's
+//!    tag, and flushes it.
 //!
 //! [`Server::shutdown`] drains: accepting stops, no new frames are
 //! admitted, every request already admitted (including tagged in-flight
 //! pipelines) is batched, inferred, answered, and flushed, and only then
-//! do the workers exit (the admin listener, when enabled,
+//! do the loops exit (the admin listener, when enabled,
 //! goes down last so `/metrics` stays scrapeable through the drain).
 //!
 //! ## Multi-model serving and hot swap
@@ -67,7 +66,7 @@
 //! `serve.connections` / `serve.bad_requests` totals; the
 //! `serve.conn.active` / `serve.conn.inflight` histograms,
 //! `serve.conn.refused` / `serve.conn.rejected` counters, and
-//! `serve.loop.{wakeups,events,completions}` counters with the
+//! `serve.loop.{wakeups,events}` counters with the
 //! `serve.loop.dispatch.us` sketch. Multi-model serving adds the
 //! per-model `serve.model.{name}.requests` / `.rejected` / `.swaps`
 //! counters, the `serve.model.{name}.infer.us` sketch, and the
@@ -85,7 +84,6 @@
 #![warn(missing_docs)]
 
 pub mod admin;
-mod batcher;
 pub mod protocol;
 pub mod registry;
 
@@ -100,36 +98,29 @@ compile_error!("qsnc-serve issues raw epoll syscalls and builds only on Linux x8
 pub use protocol::{Reply, Status};
 pub use registry::{ModelSpec, ModelStatus, SwapReport};
 
-use batcher::{MicroBatcher, Request, WorkerReply};
-use event_loop::{Completion, LoopConfig, LoopShared};
+use event_loop::{LoopConfig, LoopShared};
 use qsnc_memristor::SpikingNetwork;
-use qsnc_tensor::Tensor;
 use registry::ModelRegistry;
-use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Serving parameters. `..Default::default()` gives the production knobs;
 /// `from_env` layers the `QSNC_SERVE_*` environment overrides on top.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Largest batch a worker takes from the queue at once
+    /// Largest batch an event loop runs in one engine call
     /// (`QSNC_SERVE_MAX_BATCH`).
     pub max_batch: usize,
-    /// Bounded request-queue capacity; a full queue replies
-    /// [`Status::Busy`].
+    /// Admitted requests each event loop may hold pending at once; past
+    /// it admission replies [`Status::Busy`].
     pub queue_cap: usize,
-    /// Inference worker threads. One is right for single-core deployments;
-    /// each worker keeps its own warm scratch arena.
-    pub workers: usize,
-    /// Event-loop threads (`QSNC_SERVE_LOOPS`). One loop comfortably
-    /// multiplexes hundreds of connections; add loops when accept/IO work
-    /// itself saturates a core.
+    /// Event-loop threads (`QSNC_SERVE_LOOPS`; default: the available
+    /// parallelism). Each loop does its connections' I/O and runs the
+    /// engine on their requests, keeping its own warm scratch arena.
     pub loops: usize,
     /// Per-connection in-flight request budget over the multiplexed v2
     /// protocol (`QSNC_SERVE_MAX_INFLIGHT_PER_CONN`); the budget'th + 1
@@ -156,7 +147,7 @@ pub struct ServeConfig {
     /// most this many requests per model in flight at once, the overflow
     /// answered [`Status::Busy`]. Applies to every registered model
     /// without its own [`ModelSpec::quota`]; `None` — the default — means
-    /// unlimited (only the global queue bounds admission).
+    /// unlimited (only the loops' pending caps bound admission).
     pub model_quota: Option<usize>,
     /// How long a hot swap waits, in milliseconds, for requests admitted
     /// against the old engine version to finish before giving up on the
@@ -171,8 +162,7 @@ impl Default for ServeConfig {
         ServeConfig {
             max_batch: 8,
             queue_cap: 64,
-            workers: 1,
-            loops: 1,
+            loops: std::thread::available_parallelism().map_or(1, |n| n.get()),
             max_inflight_per_conn: 32,
             max_conns: 4096,
             admin_addr: None,
@@ -223,19 +213,6 @@ fn env_parse(name: &str) -> Option<u64> {
     std::env::var(name).ok()?.trim().parse().ok()
 }
 
-/// Same tie-breaking as `Tensor::argmax` (lowest index wins).
-fn argmax_slice(v: &[f32]) -> usize {
-    let mut best = 0;
-    let mut best_v = f32::NEG_INFINITY;
-    for (i, &x) in v.iter().enumerate() {
-        if x > best_v {
-            best_v = x;
-            best = i;
-        }
-    }
-    best
-}
-
 /// Process-wide request ids, so flight-recorder traces from concurrent
 /// connections stay distinguishable. Only assigned while telemetry is on.
 static NEXT_REQUEST_ID: AtomicU64 = AtomicU64::new(1);
@@ -252,7 +229,6 @@ pub struct Server {
     running: Arc<AtomicBool>,
     loops: Vec<JoinHandle<()>>,
     shareds: Vec<Arc<LoopShared>>,
-    workers: Vec<JoinHandle<()>>,
     admin: Option<JoinHandle<()>>,
     registry: Arc<ModelRegistry>,
 }
@@ -269,8 +245,8 @@ impl Server {
     ///
     /// # Panics
     ///
-    /// Panics if `config` has a zero `max_batch`, `queue_cap`, `workers`,
-    /// `loops`, or `max_inflight_per_conn`, or if `input_dims` is
+    /// Panics if `config` has a zero `max_batch`, `queue_cap`, `loops`,
+    /// or `max_inflight_per_conn`, or if `input_dims` is
     /// empty/zero-sized.
     ///
     /// # Examples
@@ -351,8 +327,8 @@ impl Server {
     ///
     /// # Panics
     ///
-    /// Panics if `config` has a zero `max_batch`, `queue_cap`, `workers`,
-    /// `loops`, or `max_inflight_per_conn`, or if a spec's `input_dims`
+    /// Panics if `config` has a zero `max_batch`, `queue_cap`, `loops`,
+    /// or `max_inflight_per_conn`, or if a spec's `input_dims`
     /// is empty/zero-sized.
     ///
     /// # Examples
@@ -415,7 +391,6 @@ impl Server {
     ) -> io::Result<Server> {
         assert!(config.max_batch >= 1, "max_batch must be at least 1");
         assert!(config.queue_cap >= 1, "queue_cap must be at least 1");
-        assert!(config.workers >= 1, "need at least one worker");
         assert!(config.loops >= 1, "need at least one event loop");
         assert!(config.max_inflight_per_conn >= 1, "max_inflight_per_conn must be at least 1");
         let registry = Arc::new(
@@ -449,34 +424,16 @@ impl Server {
             Some((a, h)) => (Some(a), Some(h)),
             None => (None, None),
         };
-        let depth = Arc::new(AtomicUsize::new(0));
-        let (req_tx, req_rx) = mpsc::sync_channel::<Request>(config.queue_cap);
-        // Workers pull from the bounded queue only when free, so under
-        // overload it fills and admission answers Busy.
-        let micro =
-            Arc::new(Mutex::new(MicroBatcher::new(req_rx, config.max_batch, Arc::clone(&depth))));
-        let workers = (0..config.workers)
-            .map(|_| {
-                let micro = Arc::clone(&micro);
-                let max_batch = config.max_batch;
-                std::thread::spawn(move || worker_loop(max_batch, &micro))
-            })
-            .collect();
-
         let loop_cfg = LoopConfig {
             registry: Arc::clone(&registry),
+            max_batch: config.max_batch,
+            queue_cap: config.queue_cap,
             max_inflight: config.max_inflight_per_conn,
             max_conns: config.max_conns,
             slow_us: config.slow_us,
         };
-        let (loops, shareds) = event_loop::spawn(
-            listener,
-            config.loops,
-            loop_cfg,
-            Arc::clone(&running),
-            req_tx,
-            Arc::clone(&depth),
-        )?;
+        let (loops, shareds) =
+            event_loop::spawn(listener, config.loops, loop_cfg, Arc::clone(&running))?;
 
         Ok(Server {
             addr: local,
@@ -484,7 +441,6 @@ impl Server {
             running,
             loops,
             shareds,
-            workers,
             admin: admin_handle,
             registry,
         })
@@ -573,8 +529,8 @@ impl Server {
             return;
         }
         self.running.store(false, Ordering::SeqCst);
-        // Wake every loop; each stops parsing, answers its in-flight
-        // requests (workers below are still running), flushes, and exits.
+        // Wake every loop; each stops parsing, runs and answers every
+        // request it admitted, flushes, and exits.
         for s in &self.shareds {
             s.wake();
         }
@@ -582,11 +538,6 @@ impl Server {
             let _ = h.join();
         }
         self.shareds.clear();
-        // The loops held the only queue senders: the workers drain what is
-        // still queued, then find the queue closed and exit.
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
         // The admin plane goes down last, after every request has been
         // answered, so /metrics stays scrapeable through the drain.
         if let Some(h) = self.admin.take() {
@@ -612,92 +563,5 @@ impl std::fmt::Debug for Server {
             .field("running", &self.running.load(Ordering::Relaxed))
             .field("loops", &self.loops.len())
             .finish()
-    }
-}
-
-fn worker_loop(max_batch: usize, micro: &Mutex<MicroBatcher>) {
-    // One cached input tensor per (input shape, batch size): after each
-    // combination has been seen once, packing + inference allocate
-    // nothing. Keyed by shape because different models can differ in dims.
-    let mut tensors: HashMap<Vec<usize>, Vec<Option<Tensor>>> = HashMap::new();
-    let mut out: Vec<f32> = Vec::new();
-    // A batch's completions grouped by owning loop, so each loop takes
-    // them under one lock with one wakeup.
-    let mut by_loop: Vec<(Arc<LoopShared>, Vec<Completion>)> = Vec::new();
-    loop {
-        // The lock is held only while taking the batch, not while running
-        // it; a poisoned lock means a sibling worker panicked.
-        let Some(batch) = micro.lock().ok().and_then(|mut micro| micro.next_batch()) else {
-            break;
-        };
-        let b = batch.len();
-        debug_assert!(b >= 1 && b <= max_batch, "batcher produced batch of {b}");
-        // The batcher keeps batches version-homogeneous, so the opener's
-        // lease names the engine for the whole batch.
-        let (entry, version) = {
-            let lease = batch[0].lease.as_ref().expect("served requests always carry a lease");
-            (Arc::clone(lease.entry()), Arc::clone(lease.version()))
-        };
-        let input_len = version.input_len;
-        let tele = qsnc_telemetry::enabled();
-        // Queue time ends when the worker has taken the batch.
-        let picked_up = tele.then(Instant::now);
-        if !tensors.contains_key(&version.input_dims) {
-            tensors
-                .insert(version.input_dims.clone(), (0..=max_batch).map(|_| None).collect());
-        }
-        let cache = tensors.get_mut(&version.input_dims).expect("inserted above");
-        let xs = cache[b].get_or_insert_with(|| {
-            let mut dims = vec![b];
-            dims.extend_from_slice(&version.input_dims);
-            Tensor::from_vec(vec![0.0; b * input_len], dims)
-        });
-        let slice = xs.as_mut_slice();
-        for (i, req) in batch.iter().enumerate() {
-            slice[i * input_len..(i + 1) * input_len].copy_from_slice(&req.input);
-        }
-        let t_infer = tele.then(Instant::now);
-        version.network.infer_batch_into(xs, &mut out);
-        // The batched engine call is shared: infer_us is recorded once per
-        // batch in the sketch but attached to every request's trace.
-        let infer_us = t_infer.map_or(0, |t| t.elapsed().as_micros() as u64);
-        if tele {
-            qsnc_telemetry::quantile_observe("serve.stage.infer.us", infer_us as f64);
-            qsnc_telemetry::quantile_observe(&entry.tele_infer_us, infer_us as f64);
-        }
-        let stride = out.len() / b;
-        for (i, req) in batch.into_iter().enumerate() {
-            let logits = out[i * stride..(i + 1) * stride].to_vec();
-            let argmax = argmax_slice(&logits) as u32;
-            let queue_us = picked_up
-                .map_or(0, |t| t.saturating_duration_since(req.enqueued).as_micros() as u64);
-            if tele {
-                qsnc_telemetry::quantile_observe("serve.stage.queue.us", queue_us as f64);
-            }
-            let reply = WorkerReply { argmax, logits, queue_us, infer_us, batch: b as u32 };
-            // The loop drops the completion itself if the connection died
-            // first (generation mismatch).
-            let completion = Completion {
-                conn: req.conn,
-                generation: req.generation,
-                tag: req.tag,
-                reply,
-                enqueued: req.enqueued,
-                decode_us: req.decode_us,
-                id: req.id,
-            };
-            // `req` (and with it the lease) drops at the end of this
-            // iteration, before the reply is handed over, so the client can
-            // never see its reply while the quota still counts the request.
-            match by_loop.iter_mut().find(|(shared, _)| Arc::ptr_eq(shared, &req.shared)) {
-                Some((_, done)) => done.push(completion),
-                None => by_loop.push((req.shared, vec![completion])),
-            }
-        }
-        for (shared, done) in &mut by_loop {
-            if !done.is_empty() {
-                shared.complete_all(done);
-            }
-        }
     }
 }

@@ -17,14 +17,15 @@
 //!
 //! A request is bound to an engine **at admission**, by acquiring a
 //! `Lease` on the entry + the version snapshot the event loop resolved.
-//! The lease travels inside the queued request and drops after the worker
-//! has run inference and routed the reply, decrementing two counters:
+//! The lease travels inside the pending request and drops after its event
+//! loop has run inference, just before the reply is encoded, decrementing
+//! two counters:
 //!
 //! - the **entry-level** in-flight count, checked against the per-model
 //!   admission quota ([`ModelSpec::quota`] /
 //!   `QSNC_SERVE_MODEL_QUOTA`) — the quota tier of the backpressure
 //!   ladder, answering [`crate::Status::Busy`] when one model's tenants
-//!   would otherwise starve the shared queue;
+//!   would otherwise starve the loops' pending slots;
 //! - the **version-level** in-flight count, which is what hot swap drains.
 //!
 //! ## Hot swap
@@ -186,8 +187,8 @@ fn read_lock(lock: &RwLock<Arc<ModelVersion>>) -> std::sync::RwLockReadGuard<'_,
 
 /// An admitted request's hold on its model entry (quota accounting) and
 /// engine version (swap-drain accounting). Dropping the lease — after the
-/// worker has run inference and routed the reply, or when admission is
-/// reverted — releases both.
+/// event loop has run inference, before it encodes the reply, or when
+/// admission is reverted — releases both.
 pub(crate) struct Lease {
     entry: Arc<ModelEntry>,
     version: Arc<ModelVersion>,
@@ -214,7 +215,7 @@ impl Lease {
         &self.version
     }
 
-    /// Whether two leases pin the same engine snapshot — the batcher's
+    /// Whether two leases pin the same engine snapshot — the batch
     /// homogeneity key (a batch runs on exactly one engine version).
     pub(crate) fn same_version(&self, other: &Lease) -> bool {
         Arc::ptr_eq(&self.version, &other.version)

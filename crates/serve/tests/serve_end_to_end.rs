@@ -5,10 +5,10 @@
 //! real `TcpStream` clients. The float oracle
 //! [`SpikingNetwork::infer_reference`] is the ground truth: every
 //! well-formed reply must be **bit-identical** to it regardless of how
-//! the micro-batcher grouped the requests. Hostile clients — garbage
+//! the event loop batched the requests. Hostile clients — garbage
 //! frames, oversized declarations, wrong payload sizes, mid-request
 //! disconnects — must get error replies (or a dropped connection), never
-//! a worker panic.
+//! a panicked loop.
 
 use qsnc_memristor::{DeployConfig, SpikingNetwork};
 use qsnc_quant::{
@@ -277,12 +277,12 @@ fn mid_request_disconnect_does_not_kill_the_server() {
 #[test]
 fn overload_answers_ok_or_busy_and_recovers() {
     let snn = served_network(17);
-    // A deliberately tiny queue so the flood can trip backpressure.
+    // A deliberately tiny pending cap so the flood can trip backpressure.
     let server = Server::spawn(
         Arc::clone(&snn),
         &INPUT_DIMS,
         "127.0.0.1:0",
-        ServeConfig { max_batch: 2, queue_cap: 2, workers: 1, ..ServeConfig::default() },
+        ServeConfig { max_batch: 2, queue_cap: 2, loops: 1, ..ServeConfig::default() },
     )
     .expect("spawn");
 

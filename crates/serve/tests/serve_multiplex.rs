@@ -10,7 +10,7 @@
 //! The tests that need replies held pending — duplicate live tags, the
 //! in-flight budget, oversized frames mid pipeline, half-closed peers and
 //! the drain — live in the crate's `inflight_tests` module, where they can
-//! hold the workers.
+//! hold the event loop.
 
 use qsnc_memristor::{DeployConfig, SpikingNetwork};
 use qsnc_quant::{
@@ -69,10 +69,10 @@ fn bits(logits: &[f32]) -> Vec<u32> {
     logits.iter().map(|v| v.to_bits()).collect()
 }
 
-/// The core multiplexing proof: one connection pipelines many tagged
-/// requests with distinct inputs, two single-request workers race the
-/// completions back in whatever order inference finishes, and every reply
-/// — matched purely by tag — must be bit-identical to the reference.
+/// The core multiplexing proof: two connections, one on each of two
+/// event loops, pipeline many tagged requests with distinct inputs while
+/// both loops run the engine at once, and every reply — matched purely by
+/// tag — must be bit-identical to the reference.
 #[test]
 fn pipelined_tagged_replies_are_bit_identical_in_any_order() {
     let snn = served_network(41);
@@ -80,28 +80,29 @@ fn pipelined_tagged_replies_are_bit_identical_in_any_order() {
         Arc::clone(&snn),
         &INPUT_DIMS,
         "127.0.0.1:0",
-        ServeConfig {
-            workers: 2,
-            max_batch: 1,
-            max_inflight_per_conn: 64,
-            ..ServeConfig::default()
-        },
+        ServeConfig { loops: 2, max_batch: 1, max_inflight_per_conn: 64, ..ServeConfig::default() },
     )
     .expect("spawn");
 
     const SHOTS: u32 = 24;
     let inputs: Vec<Vec<f32>> = (0..SHOTS).map(|i| example(4100 + i as u64)).collect();
-    let mut stream = connect(&server);
-    for (tag, input) in inputs.iter().enumerate() {
-        protocol::write_request_tagged(&mut stream, tag as u32, input).expect("write");
+    // Connections are dealt round-robin, so these two land on both loops.
+    let mut streams = [connect(&server), connect(&server)];
+    for (c, stream) in streams.iter_mut().enumerate() {
+        for tag in (c as u32..SHOTS).step_by(2) {
+            protocol::write_request_tagged(stream, tag, &inputs[tag as usize]).expect("write");
+        }
     }
 
     let mut seen: HashMap<u32, protocol::Reply> = HashMap::new();
-    for _ in 0..SHOTS {
-        let reply = protocol::read_reply(&mut stream).expect("reply");
-        assert_eq!(reply.status, Status::Ok, "tag {:?}: {}", reply.tag, reply.message);
-        let tag = reply.tag.expect("v2 requests must get tagged replies");
-        assert!(seen.insert(tag, reply).is_none(), "tag {tag} answered twice");
+    for (c, stream) in streams.iter_mut().enumerate() {
+        for _ in 0..SHOTS / 2 {
+            let reply = protocol::read_reply(stream).expect("reply");
+            assert_eq!(reply.status, Status::Ok, "tag {:?}: {}", reply.tag, reply.message);
+            let tag = reply.tag.expect("v2 requests must get tagged replies");
+            assert_eq!(tag as usize % 2, c, "tag {tag} answered on the wrong connection");
+            assert!(seen.insert(tag, reply).is_none(), "tag {tag} answered twice");
+        }
     }
     for (tag, input) in inputs.iter().enumerate() {
         let reply = &seen[&(tag as u32)];
@@ -116,7 +117,7 @@ fn pipelined_tagged_replies_are_bit_identical_in_any_order() {
             .0;
         assert_eq!(reply.argmax as usize, want_argmax, "tag {tag}");
     }
-    drop(stream);
+    drop(streams);
     server.shutdown();
 }
 

@@ -1,9 +1,9 @@
-//! Served replies must not depend on the SIMD level the worker dispatches.
+//! Served replies must not depend on the SIMD level the server dispatches.
 //!
-//! The batch worker threads live inside the server, so the process-wide
-//! [`qsnc_tensor::set_simd_level`] cap is the only knob that reaches them
-//! (thread-local `with_simd_level` scopes deliberately do not propagate
-//! across threads). Serving the same requests with the kernels pinned to
+//! The event-loop threads that run the engine live inside the server, so
+//! the process-wide [`qsnc_tensor::set_simd_level`] cap is the only knob
+//! that reaches them (thread-local `with_simd_level` scopes deliberately
+//! do not propagate across threads). Serving the same requests with the kernels pinned to
 //! scalar and again at full hardware dispatch must produce bit-identical
 //! logits — the serving-layer restatement of the kernel proptests.
 
